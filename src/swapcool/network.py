@@ -15,7 +15,8 @@ in 1-based labels, with step* = O(m^2).
 Each protocol application deposits one unit of second-order deviation at the
 pair's common tau and averages whatever the two systems had accumulated; the
 resulting coefficient rows depend only on the schedule, never on the
-Hamiltonian.  The hot loops live in :mod:`swapcool.kernels`.
+Hamiltonian.  Event generation and coefficient accumulation are stepped one
+whole network step at a time in :mod:`swapcool.kernels`.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ class Schedule:
         tau = self.tau_matrix()
         key = self.step.astype(np.int64) * self.n_systems
         members = np.concatenate([key + self.lo, key + self.hi])
-        if np.unique(members).size != members.size:
+        members.sort()
+        if np.any(members[1:] == members[:-1]):
             raise AssertionError("pairs within a step are not disjoint")
         if np.any(tau[self.lo, self.step] != self.tau_common) or \
            np.any(tau[self.hi, self.step] != self.tau_common):
@@ -96,17 +98,11 @@ def improved_terminal_profile(m: int) -> np.ndarray:
     return np.where(i < m, i - m, i - m + 1).astype(np.int64)
 
 
-def _canonical_order(step, lo, hi, tau):
-    order = np.lexsort((lo, step))
-    return step[order], lo[order], hi[order], tau[order]
-
-
 def build_improved_schedule(m: int) -> Schedule:
     step_star, terminal, es, el, eh, et = kernels.improved_schedule_events(m, True)
-    es, el, eh, et = _canonical_order(es, el, eh, et)
     fresh = ((et == 0) & (es != 0)).astype(np.uint8)
     sched = Schedule("improved", int(m), 2 * int(m), int(step_star),
-                     es, el, eh, et, fresh, terminal.astype(np.int64))
+                     es, el, eh, et, fresh, terminal)
     if np.any(sched.terminal_tau != improved_terminal_profile(m)):
         raise AssertionError("scheduler produced a wrong terminal profile")
     return sched
@@ -115,7 +111,7 @@ def build_improved_schedule(m: int) -> Schedule:
 def improved_schedule_stats(m: int) -> tuple[int, np.ndarray]:
     """(step_star, terminal_tau) without materialising the event stream."""
     step_star, terminal, *_ = kernels.improved_schedule_events(m, False)
-    return int(step_star), terminal.astype(np.int64)
+    return int(step_star), terminal
 
 
 def build_tournament_schedule(n: int) -> Schedule:
@@ -172,10 +168,8 @@ class CoefficientMatrix:
 
 
 def propagate_coefficients(sched: Schedule) -> CoefficientMatrix:
-    k = kernels.accumulate_rows(sched.n_systems, sched.m,
-                                sched.lo.astype(np.int32), sched.hi.astype(np.int32),
-                                sched.tau_common.astype(np.int32),
-                                sched.fresh.astype(np.uint8))
+    k = kernels.accumulate_rows(sched.n_systems, sched.m, sched.step, sched.lo,
+                                sched.hi, sched.tau_common, sched.fresh)
     return CoefficientMatrix(sched.m, k)
 
 

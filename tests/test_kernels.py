@@ -1,86 +1,104 @@
-"""Backend equivalence: the compiled kernels and the numpy fallback must emit
-bit-identical event streams and coefficient matrices."""
+"""The step-vectorised kernels against a literal pure-Python reference.
+
+The reference pairs by the scan rule itself (ascending index, one pending
+index per tau value) and accumulates one pair at a time, so event streams,
+step*, terminal profiles and coefficient matrices must match it exactly.
+"""
 
 import numpy as np
 import pytest
 
-from swapcool.kernels import _fallback
+from swapcool import kernels
 
-try:
-    from swapcool.kernels import _compiled
-except ImportError:
-    _compiled = None
-
-needs_compiled = pytest.mark.skipif(_compiled is None, reason="compiled kernels not built")
+MS = [1, 2, 3, 4, 5, 8, 13, 16, 27, 32]
 
 
-def canonical(events):
-    step_star, terminal, es, el, eh, et = events
-    order = np.lexsort((el, es))
-    return step_star, terminal, es[order], el[order], eh[order], et[order]
+def reference_events(m):
+    """(step_star, terminal_tau, events) with events (step, lo, hi, tau) in
+    (step, lo) order."""
+    n = 2 * m
+    tau = [0] * n
+    events = []
+    step = 0
+    while True:
+        pending = {}
+        paired = False
+        for j in range(n):
+            t = tau[j]
+            lo = pending.pop(t, None)
+            if lo is None:
+                pending[t] = j
+            else:
+                events.append((step, lo, j, t))
+                tau[lo] -= 1
+                tau[j] += 1
+                paired = True
+        if not paired:
+            return step, tau, sorted(events)
+        step += 1
 
 
-@needs_compiled
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 13, 16, 27, 32, 64])
-def test_schedule_events_identical(m):
-    a = canonical(_compiled.improved_schedule_events(m, True))
-    b = canonical(_fallback.improved_schedule_events(m, True))
-    assert a[0] == b[0]
-    for x, y in zip(a[1:], b[1:]):
-        np.testing.assert_array_equal(x, y)
+def reference_coefficients(m, events):
+    k = np.zeros((2 * m, 2 * m + 1))
+    for step, lo, hi, t in events:
+        if t == 0 and step != 0:
+            k[lo] = 0.0
+            k[hi] = 0.0
+        row = 0.5 * (k[lo] + k[hi])
+        row[t + m] += 1.0
+        k[lo] = row
+        k[hi] = row
+    return k
 
 
-@needs_compiled
-@pytest.mark.parametrize("m", [1, 2, 7, 24])
-def test_stats_only_matches_recorded(m):
-    star_a, term_a, *_ = _compiled.improved_schedule_events(m, False)
-    star_b, term_b, *rest = _compiled.improved_schedule_events(m, True)
-    assert star_a == star_b
-    np.testing.assert_array_equal(term_a, term_b)
-    assert all(r is not None for r in rest)
+@pytest.mark.parametrize("m", MS)
+def test_schedule_events_match_reference(m):
+    ref_star, ref_terminal, ref_events = reference_events(m)
+    step_star, terminal, es, el, eh, et = kernels.improved_schedule_events(m, True)
+    assert step_star == ref_star
+    np.testing.assert_array_equal(terminal, ref_terminal)
+    np.testing.assert_array_equal(np.stack([es, el, eh, et], axis=1),
+                                  np.asarray(ref_events).reshape(-1, 4))
+    star_only, terminal_only, *rest = kernels.improved_schedule_events(m, False)
+    assert star_only == ref_star
+    np.testing.assert_array_equal(terminal_only, ref_terminal)
+    assert rest == [None] * 4
 
 
-@needs_compiled
-@pytest.mark.parametrize("m", [1, 2, 5, 16])
-def test_accumulate_identical(m):
-    step_star, terminal, es, el, eh, et = canonical(
-        _compiled.improved_schedule_events(m, True))
+@pytest.mark.parametrize("m", MS)
+def test_accumulate_matches_reference(m):
+    _, _, ref_events = reference_events(m)
+    _, _, es, el, eh, et = kernels.improved_schedule_events(m, True)
     fresh = ((et == 0) & (es != 0)).astype(np.uint8)
-    ka = _compiled.accumulate_rows(2 * m, m, el, eh, et, fresh)
-    kb = _fallback.accumulate_rows(2 * m, m, el, eh, et, fresh)
-    np.testing.assert_array_equal(ka, kb)
+    k = kernels.accumulate_rows(2 * m, m, es, el, eh, et, fresh)
+    np.testing.assert_array_equal(k, reference_coefficients(m, ref_events))
 
 
-def test_fallback_rejects_bad_m():
+def test_schedule_events_rejects_bad_m():
     with pytest.raises(ValueError):
-        _fallback.improved_schedule_events(0)
+        kernels.improved_schedule_events(0)
 
 
 def test_lockstep_stats_match_per_m_loop():
     ms = list(range(1, 41)) + [64]
-    batched = _fallback.improved_schedule_stats_many(ms)
+    batched = kernels.improved_schedule_stats_many(ms)
     assert len(batched) == len(ms)
     for m, (step_star, terminal) in zip(ms, batched):
-        ref_star, ref_terminal, *_ = _fallback.improved_schedule_events(m, False)
+        ref_star, ref_terminal, *_ = kernels.improved_schedule_events(m, False)
         assert step_star == ref_star, m
         np.testing.assert_array_equal(terminal, ref_terminal)
 
 
 def test_lockstep_stats_rejects_bad_m():
     with pytest.raises(ValueError):
-        _fallback.improved_schedule_stats_many([3, 0])
+        kernels.improved_schedule_stats_many([3, 0])
 
 
-@needs_compiled
-def test_compiled_rejects_bad_m():
-    with pytest.raises(ValueError):
-        _compiled.improved_schedule_events(0)
-
-
-def test_fallback_column_bounds_asserted():
+def test_accumulate_column_bounds_asserted():
+    step = np.array([0], dtype=np.int32)
     lo = np.array([0], dtype=np.int32)
     hi = np.array([1], dtype=np.int32)
     tau = np.array([9], dtype=np.int32)     # column 9 + 1 out of range for m=1
     fresh = np.zeros(1, dtype=np.uint8)
     with pytest.raises(AssertionError):
-        _fallback.accumulate_rows(2, 1, lo, hi, tau, fresh)
+        kernels.accumulate_rows(2, 1, step, lo, hi, tau, fresh)

@@ -3,6 +3,7 @@ import pytest
 
 from swapcool.hamiltonian import Spectrum, build_model
 from swapcool.network import (
+    Schedule,
     build_improved_schedule,
     build_tournament_schedule,
     check_scaling_law,
@@ -70,6 +71,16 @@ def test_tau_matrix_replay():
     # every pair agrees on tau at its own step
     for s, lo, hi, t, _ in zip(sched.step, sched.lo, sched.hi, sched.tau_common, sched.fresh):
         assert tau[lo, s] == tau[hi, s] == t
+
+
+def test_validate_rejects_shared_member_within_step():
+    # system 0 appears in both pairs of step 0
+    i32 = lambda *v: np.asarray(v, dtype=np.int32)
+    sched = Schedule("improved", 2, 4, 1, i32(0, 0), i32(0, 0), i32(1, 2),
+                     i32(0, 0), np.zeros(2, dtype=np.uint8),
+                     np.array([-2, 1, 1, 0]))
+    with pytest.raises(AssertionError, match="disjoint"):
+        sched.validate()
 
 
 def test_tournament_n1_equals_improved_m1():

@@ -5,6 +5,11 @@ protocol emulates step by step.  Its closed-form solution is normalised
 imaginary-time evolution, so the exact path is one vector exponential; the
 RK4 integrator exists purely as an independent cross-check.
 
+Series along the flow (:func:`flow_series`, the crossing-step search and the
+network-error diagnostic) run on the populations of the distinct levels,
+vectorised over time (:class:`LevelFlow`); :func:`flow_exact` keeps the
+per-state path as an independent cross-check.
+
 For a uniform initial state the ground-level population P1(t) is sandwiched
 between two logistic curves whose rates are the spectral gap and span.  Note
 the orientation: the gap-rate curve is the *lower* bound (the flow converges
@@ -13,14 +18,17 @@ at least as fast as the slowest logistic), the span-rate curve the upper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .hamiltonian import DEGENERACY_TOL, Spectrum
-from .quantum import PureState, _check_dims, energy_moments
+from .quantum import PureState, _check_dims
 
 RK4_STEP_CAP = 0.1   # max h * span accepted by the integrator
+#: entries per row block of the population matrix; bounds every temporary of
+#: a series whatever its length and level count
+BLOCK_ENTRIES = 1 << 16
 
 
 def flow_exact(phi0: PureState, spec: Spectrum, t: float) -> PureState:
@@ -36,6 +44,60 @@ def flow_exact(phi0: PureState, spec: Spectrum, t: float) -> PureState:
     if norm == 0.0 or not np.isfinite(norm):
         raise ValueError("flow underflowed: no representable amplitude left")
     return PureState(weights / norm)
+
+
+@dataclass(frozen=True)
+class LevelFlow:
+    """A start state's flow on the distinct levels of its spectrum.
+
+    The flow multiplies every amplitude by e^{-E t/2}, a positive factor that
+    depends only on the amplitude's level, so the level populations
+
+        P_l(t) = W_l e^{-E_l t} / sum_k W_k e^{-E_k t}
+
+    (W_l the start state's population on level l) fix every observable that
+    is diagonal in the eigenbasis, and every overlap between two flow states.
+    """
+
+    levels: np.ndarray       # distinct eigenvalues (exact equality), ascending
+    weights: np.ndarray      # start-state population W_l of each level
+    n_ground: int            # levels within DEGENERACY_TOL of the lowest
+    first_share: float       # |a_0|^2 / W_0: eigenvector 0's share of level 0
+
+    def blocks(self, times):
+        """Yield (rows, P) over consecutive row blocks of the times x levels
+        population matrix, each block holding at most about BLOCK_ENTRIES
+        entries; rows normalised by log-sum-exp, so no time underflows."""
+        times = np.asarray(times, dtype=float)
+        with np.errstate(divide="ignore"):
+            log_w = np.log(self.weights)        # -inf on empty levels
+        step = max(1, BLOCK_ENTRIES // self.levels.size)
+        for start in range(0, times.size, step):
+            t = times[start:start + step]
+            pop = log_w - t[:, None] * self.levels
+            pop -= pop.max(axis=1, keepdims=True)
+            np.exp(pop, out=pop)
+            pop /= pop.sum(axis=1, keepdims=True)
+            yield slice(start, start + t.size), pop
+
+    def populations(self, times) -> np.ndarray:
+        """The whole times x levels population matrix."""
+        times = np.asarray(times, dtype=float)
+        out = np.empty((times.size, self.levels.size))
+        for rows, pop in self.blocks(times):
+            out[rows] = pop
+        return out
+
+
+def level_flow(phi0: PureState, spec: Spectrum) -> LevelFlow:
+    """Group the spectrum into distinct levels and sum phi0's populations."""
+    _check_dims(phi0, spec)
+    levels, level_of = np.unique(spec.eigenvalues, return_inverse=True)
+    probs = np.abs(phi0.amplitudes) ** 2
+    weights = np.bincount(level_of, weights=probs, minlength=levels.size)
+    n_ground = int(np.count_nonzero(levels <= levels[0] + DEGENERACY_TOL))
+    first_share = float(probs[0] / weights[0]) if weights[0] > 0 else 0.0
+    return LevelFlow(levels, weights, n_ground, first_share)
 
 
 def _flow_rhs(amp: np.ndarray, ev: np.ndarray) -> np.ndarray:
@@ -159,23 +221,23 @@ def find_time_for_p1(phi0: PureState, spec: Spectrum, target: float, dt_grid: fl
 
 def find_steps_for_p1(phi0: PureState, spec: Spectrum, target: float, dt_grid: float,
                       ground_subspace: bool = False) -> int:
-    _check_dims(phi0, spec)
     if dt_grid <= 0:
         raise ValueError("dt_grid must be positive")
+    lf = level_flow(phi0, spec)
 
     def prob(m: int) -> float:
-        p1, pg = ground_probability(flow_exact(phi0, spec, m * dt_grid), spec)
-        return pg if ground_subspace else p1
+        pop = lf.populations([m * dt_grid])[0]
+        if ground_subspace:
+            return float(pop[:lf.n_ground].sum())
+        return float(pop[0] * lf.first_share)
 
     if prob(0) >= target:
         return 0
     # asymptotic population: the flow projects onto the ground eigenspace
-    probs0 = np.abs(phi0.amplitudes) ** 2
-    ground_mask = spec.eigenvalues <= spec.eigenvalues[0] + DEGENERACY_TOL
-    ground_weight = float(probs0[ground_mask].sum())
+    ground_weight = float(lf.weights[:lf.n_ground].sum())
     if ground_weight == 0.0:
         raise ValueError("target unreachable: no ground-subspace overlap")
-    limit = 1.0 if ground_subspace else float(probs0[0]) / ground_weight
+    limit = 1.0 if ground_subspace else abs(phi0.amplitudes[0]) ** 2 / ground_weight
     if target >= limit:
         raise ValueError(f"target unreachable: asymptotic population is {limit}")
     hi = 1
@@ -203,7 +265,6 @@ class FlowResult:
     energy: np.ndarray
     lower_bound: np.ndarray
     upper_bound: np.ndarray
-    states: list = field(default_factory=list)
 
     def to_csv(self) -> str:
         header = "t,p1,p_ground,energy,lower_bound,upper_bound"
@@ -215,21 +276,22 @@ class FlowResult:
         return "\n".join(rows) + "\n"
 
 
-def flow_series(phi0: PureState, spec: Spectrum, times, keep_states: bool = False) -> FlowResult:
+def flow_series(phi0: PureState, spec: Spectrum, times) -> FlowResult:
+    """p1, ground-subspace population and energy along the flow, with the
+    logistic bounds, evaluated on the level populations one block of times
+    at a time."""
     from .hamiltonian import spectral_stats
 
     stats = spectral_stats(spec)
+    lf = level_flow(phi0, spec)
     times = np.asarray(times, dtype=float)
     p1 = np.empty(times.size)
     pg = np.empty(times.size)
     en = np.empty(times.size)
-    states = []
-    for i, t in enumerate(times):
-        state = flow_exact(phi0, spec, t)
-        p1[i], pg[i] = ground_probability(state, spec)
-        en[i], _ = energy_moments(state, spec)
-        if keep_states:
-            states.append(state)
+    for rows, pop in lf.blocks(times):
+        p1[rows] = pop[:, 0] * lf.first_share
+        pg[rows] = pop[:, :lf.n_ground].sum(axis=1)
+        en[rows] = (pop * lf.levels).sum(axis=1)
     lower, upper = logistic_bounds(spec.dim, stats.gap, stats.span, times,
                                    stats.ground_degeneracy)
-    return FlowResult(times, p1, pg, en, np.asarray(lower), np.asarray(upper), states)
+    return FlowResult(times, p1, pg, en, np.asarray(lower), np.asarray(upper))

@@ -8,6 +8,7 @@ supported through :func:`swapcool.quantum.eigendecompose`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +75,10 @@ def build_model(kind: str, dim: int, delta: float) -> Spectrum:
         nbits = dim.bit_length() - 1
         if dim != 1 << nbits:
             raise ValueError("model (c) needs dim to be a power of 2")
-        ones = np.array([int.bit_count(x) for x in range(dim)])
-        ev = np.sort(-delta * (nbits - 2 * ones)).astype(float)
+        # k ones in an nbits-digit word: C(nbits, k) words at -delta*(nbits - 2k)
+        k = np.arange(nbits + 1)
+        counts = [math.comb(nbits, j) for j in range(nbits + 1)]
+        ev = np.repeat(-delta * (nbits - 2 * k), counts).astype(float)
     else:
         if dim < 4:
             raise ValueError("model (d) needs dim >= 4")

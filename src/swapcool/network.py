@@ -29,7 +29,7 @@ from . import kernels
 from .hamiltonian import Spectrum
 from .protocol import deviation_term, protocol_unitary
 from .quantum import DensityOperator, PureState, _check_dims
-from .flow import find_steps_for_p1, flow_exact
+from .flow import find_steps_for_p1, flow_exact, level_flow
 
 EXACT_ORACLE_JOINT_CAP = 1024
 PREDICT_DIM_CAP = 64
@@ -217,19 +217,23 @@ class ScalingReport:
 
 
 def _scaling_deviations(k_small: CoefficientMatrix, k_large: CoefficientMatrix,
-                        lam: int, rows: np.ndarray, floor_frac: float = 1e-3):
-    """Per-entry relative deviations for the selected 1-based small rows.
+                        lam: int, rows, cols=None, floor_frac: float = 1e-3):
+    """Per-entry relative deviations for the selected 1-based small rows and
+    deviation-time columns k' (all 2m+1 by default).
 
     Columns are matched in deviation-time coordinates (k' -> lam*k'), the
-    alignment that anchors both matrices at k' = 0.
+    alignment that anchors both matrices at k' = 0.  Entries where both sides
+    are at most floor_frac of the small row's peak are skipped.
     """
     ms, ml = k_small.m, k_large.m
+    if cols is None:
+        cols = range(-ms, ms + 1)
     devs = []
     for j in rows:
         small_row = k_small.k[j - 1]
         big_row = k_large.k[lam * j - 1]
         floor = floor_frac * small_row.max()
-        for kp in range(-ms, ms + 1):
+        for kp in cols:
             big_kp = lam * kp
             if abs(big_kp) > ml:
                 continue
@@ -241,6 +245,13 @@ def _scaling_deviations(k_small: CoefficientMatrix, k_large: CoefficientMatrix,
     return np.asarray(devs)
 
 
+def _cut_summary(axis: str, position: int, d: np.ndarray) -> dict:
+    return {"axis": axis, "position": position,
+            "median": float(np.median(d)) if d.size else 0.0,
+            "max": float(d.max()) if d.size else 0.0,
+            "count": int(d.size)}
+
+
 def check_scaling_law(k_small: CoefficientMatrix, k_large: CoefficientMatrix,
                       lam: int) -> ScalingReport:
     """Compare K^(2m) with lam^{-1} K^(2*lam*m) on the eight standard cuts
@@ -248,33 +259,13 @@ def check_scaling_law(k_small: CoefficientMatrix, k_large: CoefficientMatrix,
     if k_large.m != lam * k_small.m:
         raise ValueError("need k_large.m == lam * k_small.m")
     ms, ml = k_small.m, k_large.m
-    quarter_rows = [ms // 2, ms, 3 * ms // 2, 2 * ms]
-    cuts = []
-    for j in quarter_rows:
-        d = _scaling_deviations(k_small, k_large, lam, np.array([j]))
-        cuts.append({"axis": "row", "position": j,
-                     "median": float(np.median(d)) if d.size else 0.0,
-                     "max": float(d.max()) if d.size else 0.0,
-                     "count": int(d.size)})
-    # column cuts at quarter positions of the deviation-time axis
     all_rows = np.arange(1, 2 * ms + 1)
-    for kp in (-ms // 2, 0, ms // 2, ms - 1):
-        devs = []
-        for j in all_rows:
-            a = k_small.k[j - 1][kp + ms]
-            floor = 1e-3 * k_small.k[j - 1].max()
-            big_kp = lam * kp
-            if abs(big_kp) > ml:
-                continue
-            b = k_large.k[lam * j - 1][big_kp + ml] / lam
-            if max(a, b) <= floor:
-                continue
-            devs.append(abs(a - b) / max(abs(a), abs(b)))
-        d = np.asarray(devs)
-        cuts.append({"axis": "column", "position": kp,
-                     "median": float(np.median(d)) if d.size else 0.0,
-                     "max": float(d.max()) if d.size else 0.0,
-                     "count": int(d.size)})
+    cuts = [_cut_summary("row", j, _scaling_deviations(k_small, k_large, lam, [j]))
+            for j in (ms // 2, ms, 3 * ms // 2, 2 * ms)]
+    # column cuts at quarter positions of the deviation-time axis
+    cuts += [_cut_summary("column", kp,
+                          _scaling_deviations(k_small, k_large, lam, all_rows, [kp]))
+             for kp in (-ms // 2, 0, ms // 2, ms - 1)]
     d_all = _scaling_deviations(k_small, k_large, lam, all_rows)
     return ScalingReport(ms, ml, lam, cuts,
                          float(np.median(d_all)) if d_all.size else 0.0,
@@ -305,25 +296,30 @@ def xi_statistic(spec: Spectrum, phi0: PureState, m: int, dt: float,
                  k_row: np.ndarray) -> float:
     """Expectation of the accumulated deviation operator in the target state.
 
-    xi = <phi_T| dt^2 sum_k K[2m,k] D[phi_{k'dt}] |phi_T> with T = m*dt; each
-    deviation term contracts against two vectors, so nothing dim x dim is
-    materialised.
+    xi = <phi_T| dt^2 sum_k K[2m,k] D[phi_{k'dt}] |phi_T> with T = m*dt.  Flow
+    states differ only by positive per-level factors, so with P_s the level
+    populations at time s, <phi_s|phi_T> = sum_l sqrt(P_s,l P_T,l) and
+    <phi_T|Gamma_s|phi_s> = sum_l Gamma_s,l sqrt(P_s,l P_T,l), Gamma_s,l =
+    (E_l - <H>_s)^2 / 4; every nonzero column is one row of a population block.
     """
-    _check_dims(phi0, spec)
     if dt <= 0:
         raise ValueError("dt must be positive")
     k_row = np.asarray(k_row, dtype=float)
     if k_row.shape != (2 * m + 1,):
         raise ValueError("coefficient row must have length 2m+1")
-    target = flow_exact(phi0, spec, m * dt)
-    total = 0.0
-    for col, weight in enumerate(k_row):
-        if weight == 0.0:
-            continue
-        kp = col - m
-        dev = deviation_term(spec, flow_exact(phi0, spec, kp * dt))
-        total += float(weight) * dev.expectation(target)
-    return float(dt * dt * total)
+    lf = level_flow(phi0, spec)
+    cols = np.flatnonzero(k_row)
+    target = lf.populations([m * dt])[0]
+    terms = np.empty(cols.size)
+    for rows, pop in lf.blocks((cols - m) * dt):
+        root = np.sqrt(pop * target)
+        overlap = root.sum(axis=1)
+        energy = (pop * lf.levels).sum(axis=1, keepdims=True)
+        gamma = 0.25 * (lf.levels - energy) ** 2
+        gamma_mean = (pop * gamma).sum(axis=1)
+        cross = (gamma * root).sum(axis=1)
+        terms[rows] = 2.0 * cross * overlap - 2.0 * gamma_mean * overlap ** 2
+    return float(dt * dt * float(k_row[cols] @ terms))
 
 
 def m_alpha(spec: Spectrum, phi0: PureState, dt: float, alpha: int) -> int:

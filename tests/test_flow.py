@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from swapcool import flow
 from swapcool.hamiltonian import MODEL_KINDS, Spectrum, build_model, spectral_stats
 from swapcool.flow import (
     find_steps_for_p1,
@@ -9,6 +10,7 @@ from swapcool.flow import (
     flow_rk4,
     flow_series,
     ground_probability,
+    level_flow,
     logistic_bounds,
     logistic_curve,
     t_c_bounds,
@@ -263,3 +265,108 @@ def test_logistic_bound_set_bundle():
     assert bounds.t_c_upper == pytest.approx(1.94591015, abs=1e-7)
     with pytest.raises(ValueError):
         logistic_bound_set(8, 1.0, 2.0, 1.5)
+
+
+# --- level-population series against per-time flow_exact ----------------------
+
+def reference_states(phi, spec, times):
+    """One flow_exact per time, run on the start state's support: zero
+    amplitudes stay zero along the flow, so this equals flow_exact on the
+    whole spectrum wherever that is representable."""
+    keep = np.flatnonzero(phi.amplitudes)
+    sub_spec = Spectrum(spec.eigenvalues[keep])
+    sub_phi = PureState(phi.amplitudes[keep])
+    for t in times:
+        amp = np.zeros(spec.dim, dtype=complex)
+        amp[keep] = flow_exact(sub_phi, sub_spec, t).amplitudes
+        yield PureState(amp)
+
+
+def assert_series_matches(phi, spec, times):
+    """Level populations at every time, and the flow_series columns at the
+    times >= 0 (its logistic bounds reject negative times), against the
+    per-time reference."""
+    times = np.asarray(times, dtype=float)
+    lf = level_flow(phi, spec)
+    pops = lf.populations(times)
+    ref = []
+    for state in reference_states(phi, spec, times):
+        probs = np.abs(state.amplitudes) ** 2
+        ref.append([probs[spec.eigenvalues == e].sum() for e in lf.levels])
+    np.testing.assert_allclose(pops, ref, rtol=1e-12, atol=1e-15)
+
+    forward = times[times >= 0]
+    result = flow_series(phi, spec, forward)
+    want = []
+    for state in reference_states(phi, spec, forward):
+        want.append(ground_probability(state, spec) + energy_moments(state, spec)[:1])
+    p1, pg, en = np.array(want).T
+    for got, expect in ((result.p1, p1), (result.p_ground, pg), (result.energy, en)):
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-15)
+
+
+SIGNED_TIMES = np.concatenate([-np.geomspace(40.0, 1e-3, 9), [0.0], np.geomspace(1e-3, 40.0, 9)])
+
+
+@pytest.mark.parametrize("kind,dim", [("a", 8), ("b", 16), ("c", 32), ("d", 64)])
+def test_flow_series_matches_flow_exact_degenerate(kind, dim):
+    rng = np.random.default_rng(dim)
+    spec = build_model(kind, dim, 1.0)
+    assert_series_matches(random_state(rng, dim), spec, SIGNED_TIMES)
+    assert_series_matches(uniform_state(dim), spec, SIGNED_TIMES)
+
+
+def test_flow_series_matches_flow_exact_distinct():
+    rng = np.random.default_rng(5)
+    for dim in (2, 7, 64):
+        spec = Spectrum(np.sort(rng.uniform(-1.0, 1.0, size=dim)))
+        assert np.unique(spec.eigenvalues).size == dim
+        assert_series_matches(random_state(rng, dim), spec, SIGNED_TIMES)
+
+
+def test_flow_series_zero_population_level():
+    # the lowest level (twice degenerate) and one middle level start empty
+    spec = Spectrum(np.array([-1.0, -1.0, -0.25, 0.0, 0.0, 0.5, 1.0]))
+    amp = np.array([0.0, 0.0, 0.6, 0.0, 0.3j, -0.5, 0.2 + 0.1j])
+    phi = PureState(amp / np.linalg.norm(amp))
+    lf = level_flow(phi, spec)
+    np.testing.assert_array_equal(lf.levels, [-1.0, -0.25, 0.0, 0.5, 1.0])
+    assert lf.weights[0] == 0.0 and lf.first_share == 0.0
+    assert_series_matches(phi, spec, SIGNED_TIMES)
+    result = flow_series(phi, spec, SIGNED_TIMES[SIGNED_TIMES >= 0])
+    np.testing.assert_array_equal(result.p1, 0.0)
+    np.testing.assert_array_equal(result.p_ground, 0.0)
+
+
+def test_flow_series_past_dense_underflow():
+    # at |t| = 3000 the dense path's largest factor sits on an empty level and
+    # every occupied amplitude underflows; the level populations do not
+    spec = Spectrum(np.array([-1.0, 0.0, 0.0, 0.5, 2.0]))
+    amp = np.array([0.0, 0.6, 0.6j, 0.5, 0.0])
+    phi = PureState(amp / np.linalg.norm(amp))
+    times = np.array([-3000.0, -800.0, 0.0, 800.0, 3000.0])
+    for t in (-3000.0, 3000.0):
+        with pytest.raises(ValueError):
+            flow_exact(phi, spec, t)
+    assert_series_matches(phi, spec, times)
+    np.testing.assert_array_equal(level_flow(phi, spec).populations([-3000.0, 3000.0]),
+                                  [[0, 0, 1, 0], [0, 1, 0, 0]])
+    # with every level occupied the excited populations underflow to 0 alike
+    assert_series_matches(random_state(np.random.default_rng(3), 5), spec, times)
+
+
+def test_flow_series_row_blocks(monkeypatch):
+    rng = np.random.default_rng(11)
+    spec = Spectrum(np.sort(rng.uniform(-1.0, 1.0, size=64)))
+    phi = random_state(rng, 64)
+    times = np.linspace(0.0, 12.0, 2500)     # 1024 rows per block: 2 full, 1 partial
+    assert times.size % (flow.BLOCK_ENTRIES // 64) != 0
+    assert_series_matches(phi, spec, times)
+    full = flow_series(phi, spec, times)
+    monkeypatch.setattr(flow, "BLOCK_ENTRIES", 12)    # 3 levels: 4 rows per block
+    assert_series_matches(random_state(rng, 16), build_model("d", 16, 1.0),
+                          np.linspace(-2.0, 5.0, 11))
+    monkeypatch.setattr(flow, "BLOCK_ENTRIES", 100)   # 64 levels: one row per block
+    blocked = flow_series(phi, spec, times)
+    np.testing.assert_array_equal(blocked.p_ground, full.p_ground)
+    np.testing.assert_array_equal(blocked.energy, full.energy)

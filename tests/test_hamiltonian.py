@@ -57,6 +57,18 @@ def test_model_c_binomial_multiplicities():
             assert counts[np.searchsorted(values, level)] == math.comb(nbits, q)
 
 
+def test_model_c_matches_bit_count_construction():
+    # the binomial-multiplicity build is byte-identical to sorting the
+    # per-word bit counts
+    for nbits in range(1, 13):
+        dim = 2 ** nbits
+        ones = np.array([int.bit_count(x) for x in range(dim)])
+        old = np.sort(np.sort(-1.0 * (nbits - 2 * ones)).astype(float))
+        new = build_model("c", dim, 1.0).eigenvalues
+        assert new.dtype == old.dtype
+        assert new.tobytes() == old.tobytes()
+
+
 def test_build_model_rejections():
     with pytest.raises(ValueError):
         build_model("c", 6, 1.0)       # not a power of 2

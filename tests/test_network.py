@@ -204,6 +204,28 @@ def test_xi_matches_dense_evaluation():
     assert xi_statistic(spec, phi, m, dt, row) == pytest.approx(dt * dt * dense, abs=1e-13)
 
 
+def test_xi_matches_dense_evaluation_complex_state():
+    # a non-uniform complex start on the degenerate-band model, with zero
+    # columns skipped and negative, zero and positive flow times
+    from swapcool.protocol import deviation_term
+    from swapcool.flow import flow_exact
+
+    rng = np.random.default_rng(4)
+    spec = build_model("d", 16, 1.0)
+    v = rng.normal(size=16) + 1j * rng.normal(size=16)
+    phi = PureState(v / np.linalg.norm(v))
+    m, dt = 5, 0.3
+    row = rng.uniform(0.0, 3.0, size=2 * m + 1)
+    row[[1, 6, 8]] = 0.0
+    target = flow_exact(phi, spec, m * dt).amplitudes
+    dense = 0.0
+    for col in range(2 * m + 1):
+        dev = deviation_term(spec, flow_exact(phi, spec, (col - m) * dt))
+        dense += row[col] * float(np.real(target.conj() @ dev.matrix @ target))
+    assert dense != 0.0
+    assert xi_statistic(spec, phi, m, dt, row) == pytest.approx(dt * dt * dense, rel=1e-12)
+
+
 def test_m_alpha_model_a():
     spec = build_model("a", 8, 1.0)
     phi = uniform_state(8)

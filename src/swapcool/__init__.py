@@ -29,12 +29,9 @@ from .protocol import (
 )
 from .flow import (
     FlowResult,
-    LogisticBounds,
-    find_time_for_p1,
     flow_exact,
     flow_rk4,
     ground_probability,
-    logistic_bound_set,
     logistic_bounds,
     t_c_bounds,
 )

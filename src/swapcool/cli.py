@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -93,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replace each spectrum by its doubled version")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=None)
 
     p_spec = sub.add_parser("spectrum", help="emit model spectra (text + JSON)")
     common(p_spec)
@@ -153,7 +151,6 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
                                lambda s: s.lower() in ("1", "true", "yes"), False))
     cfg.out_dir = pick(args.out, "out", str, cfg.out_dir)
     cfg.seed = pick(args.seed, "seed", int, cfg.seed)
-    cfg.jobs = pick(args.jobs, "jobs", int, cfg.jobs)
     if hasattr(args, "t_max"):
         cfg.t_max = pick(args.t_max, "t_max", float, cfg.t_max)
     if hasattr(args, "target_c"):
@@ -193,12 +190,6 @@ def _new_manifest(cfg: ExperimentConfig, command: str) -> RunManifest:
     return RunManifest(config=config, version=__version__)
 
 
-def _flow_job(job):
-    kind, dim, delta, dt, t_max, target_c, use_double = job
-    name = f"flow_{kind}_dim{dim}" + ("_doubled" if use_double else "") + ".csv"
-    return name, experiments.flow_csv(kind, dim, delta, dt, t_max, target_c, use_double)
-
-
 def cmd_spectrum(cfg: ExperimentConfig) -> int:
     manifest = _new_manifest(cfg, "spectrum")
     with StageTimer(manifest, "spectra"):
@@ -218,16 +209,13 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
 
 def cmd_flow(cfg: ExperimentConfig) -> int:
     manifest = _new_manifest(cfg, "flow")
-    job_args = [(kind, dim, cfg.delta, cfg.dt, cfg.t_max, cfg.target_c, cfg.use_double)
-                for kind in cfg.models for dim in cfg.dims]
     with StageTimer(manifest, "flow"):
-        if cfg.jobs > 1:
-            with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-                outputs = list(pool.map(_flow_job, job_args))
-        else:
-            outputs = [_flow_job(j) for j in job_args]
-        for name, csv_text in outputs:
-            write_atomic(os.path.join(cfg.out_dir, name), csv_text, manifest)
+        for kind in cfg.models:
+            for dim in cfg.dims:
+                csv_text = experiments.flow_csv(kind, dim, cfg.delta, cfg.dt, cfg.t_max,
+                                                cfg.target_c, cfg.use_double)
+                name = f"flow_{kind}_dim{dim}" + ("_doubled" if cfg.use_double else "")
+                write_atomic(os.path.join(cfg.out_dir, name + ".csv"), csv_text, manifest)
     write_manifest(cfg.out_dir, manifest)
     return EXIT_OK
 
@@ -305,8 +293,9 @@ def cmd_xi(cfg: ExperimentConfig, k_base_path: str | None) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig, full: bool) -> int:
-    results = verify.run_verify(seed=cfg.seed, full=full)
     manifest = _new_manifest(cfg, "verify")
+    with StageTimer(manifest, "verify"):
+        results = verify.run_verify(seed=cfg.seed, full=full)
     report = verify.report_to_json(results)
     write_atomic(os.path.join(cfg.out_dir, "verify_report.json"),
                  json.dumps(report, indent=1, sort_keys=True) + "\n", manifest)

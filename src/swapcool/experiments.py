@@ -45,14 +45,13 @@ class ExperimentConfig:
     out_dir: str = "out"
     seed: int = 0
     use_double: bool = False
-    jobs: int = 1
 
     def to_json(self) -> dict:
         return {
             "models": self.models, "dims": self.dims, "delta": self.delta,
             "dt": self.dt, "t_max": self.t_max, "target_c": self.target_c,
             "alphas": self.alphas, "m_list": self.m_list, "out_dir": self.out_dir,
-            "seed": self.seed, "double": self.use_double, "jobs": self.jobs,
+            "seed": self.seed, "double": self.use_double,
         }
 
 
@@ -103,41 +102,35 @@ class CoeffsDataset:
         return "\n".join(lines) + "\n"
 
 
+def _rescaled_entry(big: CoefficientMatrix, lam: int, j: int, kp: int) -> float:
+    """Entry (j, k') of a base matrix lam times smaller, read off ``big`` via
+    the scaling law: big[lam*j, lam*k'] / lam, or 0 where lam*k' leaves its
+    range."""
+    bkp = lam * kp
+    return float(big.k[lam * j - 1][bkp + big.m] / lam) if abs(bkp) <= big.m else 0.0
+
+
 def _cut_csvs(matrices: dict[int, CoefficientMatrix]) -> dict[str, str]:
     """Eight cross-sections (four rows, four columns at quarter positions of
     the smallest matrix), every larger matrix rescaled into its frame."""
     ms = sorted(matrices)
     m0 = ms[0]
-    base = matrices[m0]
+
+    def cut(first_column: str, points) -> str:
+        """One CSV; points are (label, j, k') in the smallest matrix's frame."""
+        lines = [first_column + "," + ",".join(f"m{m}" for m in ms)]
+        for label, j, kp in points:
+            vals = [_rescaled_entry(matrices[m], m // m0, j, kp) for m in ms]
+            lines.append(label + "," + ",".join(repr(v) for v in vals))
+        return "\n".join(lines) + "\n"
+
     cuts: dict[str, str] = {}
-    row_positions = [m0 // 2, m0, 3 * m0 // 2, 2 * m0]
-    col_positions = [-m0 // 2, 0, m0 // 2, m0 - 1]
-    for idx, j0 in enumerate(row_positions, start=1):
-        header = "kprime," + ",".join(f"m{m}" for m in ms)
-        lines = [header]
-        for kp in range(-m0, m0 + 1):
-            vals = []
-            for m in ms:
-                lam = m // m0
-                big = matrices[m]
-                bkp = lam * kp
-                v = big.k[lam * j0 - 1][bkp + m] / lam if abs(bkp) <= m else 0.0
-                vals.append(v)
-            lines.append(repr(float(kp)) + "," + ",".join(repr(float(v)) for v in vals))
-        cuts[f"cut_row{idx}_j{j0}"] = "\n".join(lines) + "\n"
-    for idx, kp0 in enumerate(col_positions, start=1):
-        header = "j," + ",".join(f"m{m}" for m in ms)
-        lines = [header]
-        for j in range(1, 2 * m0 + 1):
-            vals = []
-            for m in ms:
-                lam = m // m0
-                big = matrices[m]
-                bkp = lam * kp0
-                v = big.k[lam * j - 1][bkp + m] / lam if abs(bkp) <= m else 0.0
-                vals.append(v)
-            lines.append(str(j) + "," + ",".join(repr(float(v)) for v in vals))
-        cuts[f"cut_col{idx}_k{kp0}"] = "\n".join(lines) + "\n"
+    for idx, j0 in enumerate([m0 // 2, m0, 3 * m0 // 2, 2 * m0], start=1):
+        cuts[f"cut_row{idx}_j{j0}"] = cut(
+            "kprime", [(repr(float(kp)), j0, kp) for kp in range(-m0, m0 + 1)])
+    for idx, kp0 in enumerate([-m0 // 2, 0, m0 // 2, m0 - 1], start=1):
+        cuts[f"cut_col{idx}_k{kp0}"] = cut(
+            "j", [(str(j), j, kp0) for j in range(1, 2 * m0 + 1)])
     return cuts
 
 

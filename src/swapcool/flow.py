@@ -175,52 +175,14 @@ def t_c_bounds(dim: int, gap: float, span: float, c: float,
     return log_term / span, log_term / gap
 
 
-@dataclass(frozen=True)
-class LogisticBounds:
-    """The two logistic curves bracketing the ground population, plus the
-    crossing-time window for one target probability."""
-
-    dim: int
-    gap: float
-    span: float
-    target: float
-    ground_degeneracy: int = 1
-
-    def lower(self, t):
-        return logistic_curve(self.dim, self.gap, t, self.ground_degeneracy)
-
-    def upper(self, t):
-        return logistic_curve(self.dim, self.span, t, self.ground_degeneracy)
-
-    @property
-    def t_c_lower(self) -> float:
-        return t_c_bounds(self.dim, self.gap, self.span, self.target,
-                          self.ground_degeneracy)[0]
-
-    @property
-    def t_c_upper(self) -> float:
-        return t_c_bounds(self.dim, self.gap, self.span, self.target,
-                          self.ground_degeneracy)[1]
-
-
-def logistic_bound_set(dim: int, gap: float, span: float, c: float,
-                       ground_degeneracy: int = 1) -> LogisticBounds:
-    t_c_bounds(dim, gap, span, c, ground_degeneracy)   # validate inputs now
-    return LogisticBounds(dim, gap, span, c, ground_degeneracy)
-
-
-def find_time_for_p1(phi0: PureState, spec: Spectrum, target: float, dt_grid: float,
-                     ground_subspace: bool = False) -> float:
-    """Smallest grid time m*dt_grid with P1 >= target (bisection on m).
-
-    P1 is monotone along the flow for the spectra used here, so bisection
-    returns the same m as a linear scan.
-    """
-    return dt_grid * find_steps_for_p1(phi0, spec, target, dt_grid, ground_subspace)
-
-
 def find_steps_for_p1(phi0: PureState, spec: Spectrum, target: float, dt_grid: float,
                       ground_subspace: bool = False) -> int:
+    """Smallest step count m with P1(m*dt_grid) >= target (bisection on m).
+
+    P1 is the lowest-level population, or the ground-subspace one with
+    ground_subspace.  It is monotone along the flow for the spectra used
+    here, so bisection returns the same m as a linear scan.
+    """
     if dt_grid <= 0:
         raise ValueError("dt_grid must be positive")
     lf = level_flow(phi0, spec)

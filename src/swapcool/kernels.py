@@ -96,6 +96,14 @@ def improved_schedule_events(m: int, record: bool = True):
     return step, terminal, ev_step, events[0], events[1], events[2]
 
 
+def step_blocks(step):
+    """Iterator over (start, stop) of every run of equal entries in a step
+    column, in order: the events of one network step when the column is
+    sorted.  An empty column gives one empty block."""
+    bounds = (np.flatnonzero(step[1:] != step[:-1]) + 1).tolist()
+    return zip([0] + bounds, bounds + [step.size])
+
+
 def accumulate_rows(n_systems, m, step, lo, hi, tau, fresh):
     """Propagate deviation-coefficient rows through pair events in step order.
 
@@ -111,9 +119,8 @@ def accumulate_rows(n_systems, m, step, lo, hi, tau, fresh):
         return K
     if tau.min() + m < 0 or tau.max() + m >= ncols:
         raise AssertionError("coefficient column out of range")
-    bounds = (np.flatnonzero(step[1:] != step[:-1]) + 1).tolist()
     slot = np.arange(n_systems)
-    for s0, s1 in zip([0] + bounds, bounds + [lo.size]):
+    for s0, s1 in step_blocks(step):
         a, b = lo[s0:s1], hi[s0:s1]
         row = K[a]
         row += K[b]

@@ -58,35 +58,45 @@ class Schedule:
     def n_pairs(self) -> int:
         return int(self.step.size)
 
-    def pairs_at(self, step: int) -> list[tuple[int, int]]:
-        mask = self.step == step
-        return list(zip(self.lo[mask].tolist(), self.hi[mask].tolist()))
-
-    def tau_matrix(self) -> np.ndarray:
-        """Replay the events into the full (n_systems, step_star+1) tau table."""
-        delta = np.zeros((self.n_systems, self.step_star + 1), dtype=np.int64)
-        np.add.at(delta, (self.lo, self.step + 1), -1)
-        np.add.at(delta, (self.hi, self.step + 1), 1)
-        return np.cumsum(delta, axis=1)
-
     def validate(self) -> None:
-        """Replay the events and check the pairing rules; raises on violation."""
-        tau = self.tau_matrix()
-        key = self.step.astype(np.int64) * self.n_systems
-        members = np.concatenate([key + self.lo, key + self.hi])
+        """Replay the events one step at a time and check the pairing rules;
+        raises AssertionError on the first violation.
+
+        The replay keeps one tau per system: every pair of a step must share
+        its recorded tau_common, after which the lower member moves to tau-1
+        and the higher to tau+1; the final taus must equal terminal_tau.
+        """
+        n = self.n_pairs
+        if np.any(self.step[1:] < self.step[:-1]):
+            raise AssertionError("events are not in step order")
+        if n and int(self.step[-1]) >= self.step_star:
+            raise AssertionError("events extend past step_star")
+        # one key step * n_systems + member per pair member, built in place
+        # (int32 whenever every key fits); a repeated key is a shared member
+        wide = self.step_star * self.n_systems > np.iinfo(np.int32).max
+        members = np.empty(2 * n, dtype=np.int64 if wide else np.int32)
+        members[:n] = self.step
+        members[:n] *= self.n_systems
+        members[n:] = members[:n]
+        members[:n] += self.lo
+        members[n:] += self.hi
         members.sort()
         if np.any(members[1:] == members[:-1]):
             raise AssertionError("pairs within a step are not disjoint")
-        if np.any(tau[self.lo, self.step] != self.tau_common) or \
-           np.any(tau[self.hi, self.step] != self.tau_common):
-            raise AssertionError("paired systems disagree on tau")
+        del members
+        tau = np.zeros(self.n_systems, dtype=np.int64)
+        for s0, s1 in kernels.step_blocks(self.step):
+            lo, hi, common = self.lo[s0:s1], self.hi[s0:s1], self.tau_common[s0:s1]
+            if (tau[lo] != common).any() or (tau[hi] != common).any():
+                raise AssertionError(
+                    f"paired systems disagree on tau at step {int(self.step[s0])}")
+            tau[lo] = common - 1
+            tau[hi] = common + 1
+        if np.any(tau != self.terminal_tau):
+            raise AssertionError("terminal tau profile mismatch")
         expect_fresh = (self.tau_common == 0) & (self.step != 0)
         if np.any(expect_fresh != self.fresh.astype(bool)):
             raise AssertionError("fresh flags wrong")
-        if self.n_pairs and int(self.step.max()) >= self.step_star:
-            raise AssertionError("events extend past step_star")
-        if np.any(tau[:, -1] != self.terminal_tau):
-            raise AssertionError("terminal tau profile mismatch")
         if self.kind == "improved":
             if np.any(self.terminal_tau != improved_terminal_profile(self.m)):
                 raise AssertionError("improved terminal profile mismatch")
@@ -475,8 +485,11 @@ def simulate_network_exact(sched: Schedule, spec: Spectrum, phi0: PureState,
 
 # --- serialization -----------------------------------------------------------
 
-def schedule_to_json(sched: Schedule, include_tau_matrix: bool = True) -> dict:
-    obj = {
+def schedule_to_json(sched: Schedule) -> dict:
+    """The pair events, step* and the terminal profile.  The tau of every
+    system at every step follows from replaying the pairs in order (lower
+    member -1, higher +1), as Schedule.validate does."""
+    return {
         "kind": sched.kind,
         "m": sched.m,
         "n_systems": sched.n_systems,
@@ -488,9 +501,6 @@ def schedule_to_json(sched: Schedule, include_tau_matrix: bool = True) -> dict:
         ],
         "terminal_tau": [int(x) for x in sched.terminal_tau],
     }
-    if include_tau_matrix:
-        obj["tau"] = sched.tau_matrix().tolist()
-    return obj
 
 
 def schedule_from_json(obj: dict) -> Schedule:

@@ -79,9 +79,6 @@ class DensityOperator:
             raise ValueError("dimension mismatch")
         return float(np.real(np.diag(self.matrix) @ spec.eigenvalues))
 
-    def to_dense(self) -> "DensityOperator":
-        return self
-
 
 @dataclass(frozen=True)
 class LowRankDensity:

@@ -103,7 +103,7 @@ def test_schedule_command(tmp_path):
     assert sched["step_star"] == 3
     assert sched["terminal_tau"] == [-2, -1, 1, 2]
     assert sched["pairs"][-1]["fresh"] is True
-    assert "tau" in sched
+    assert "tau" not in sched
     tourn = json.loads(read(os.path.join(out, "schedule_tournament_n3.json")))
     assert tourn["n_systems"] == 8
 
@@ -195,13 +195,12 @@ def test_deterministic_reruns(tmp_path):
     assert f1 == f2
 
 
-def test_jobs_flag_parallel_flow(tmp_path):
-    out1, out2 = str(tmp_path / "s"), str(tmp_path / "p")
-    assert main(["flow", "--model", "a", "--dims", "8,16", "--out", out1]) == 0
-    assert main(["flow", "--model", "a", "--dims", "8,16", "--jobs", "2",
-                 "--out", out2]) == 0
-    for name in ("flow_a_dim8.csv", "flow_a_dim16.csv"):
-        assert read(os.path.join(out1, name)) == read(os.path.join(out2, name))
+def test_jobs_flag_rejected(tmp_path):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["flow", "--model", "a", "--dims", "8", "--jobs", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_verify_command_smoke(tmp_path, monkeypatch):
@@ -217,6 +216,7 @@ def test_verify_command_smoke(tmp_path, monkeypatch):
     assert main(["verify", "--out", out]) == 0
     report = json.loads(read(os.path.join(out, "verify_report.json")))
     assert report["passed"] is True
+    assert [s["name"] for s in manifest_of(out)["stages"]] == ["verify"]
 
 
 def test_verify_command_failure_exit_code(tmp_path, monkeypatch):

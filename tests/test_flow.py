@@ -5,7 +5,6 @@ from swapcool import flow
 from swapcool.hamiltonian import MODEL_KINDS, Spectrum, build_model, spectral_stats
 from swapcool.flow import (
     find_steps_for_p1,
-    find_time_for_p1,
     flow_exact,
     flow_rk4,
     flow_series,
@@ -204,12 +203,13 @@ def test_find_time_for_p1_model_a():
     spec = build_model("a", 8, 1.0)
     phi = uniform_state(8)
     assert find_steps_for_p1(phi, spec, 0.5, 0.01) == 195
-    assert find_time_for_p1(phi, spec, 0.5, 0.01) == pytest.approx(1.95)
+    assert ground_probability(flow_exact(phi, spec, 1.94), spec)[0] < 0.5
+    assert ground_probability(flow_exact(phi, spec, 1.95), spec)[0] >= 0.5
 
 
 def test_find_time_target_already_met():
     spec = build_model("a", 8, 1.0)
-    assert find_time_for_p1(uniform_state(8), spec, 1 / 8, 0.01) == 0.0
+    assert find_steps_for_p1(uniform_state(8), spec, 1 / 8, 0.01) == 0
 
 
 def test_find_time_matches_linear_scan():
@@ -254,17 +254,16 @@ def test_flow_series_csv_shape():
     assert result.p1[0] == pytest.approx(1 / 8)
 
 
-def test_logistic_bound_set_bundle():
-    from swapcool.flow import logistic_bound_set
-
-    bounds = logistic_bound_set(8, 1.0, 2.0, 0.5)
-    assert bounds.lower(0.0) == pytest.approx(1 / 8)
-    assert bounds.upper(0.0) == pytest.approx(1 / 8)
-    assert bounds.lower(1.0) < bounds.upper(1.0)
-    assert bounds.t_c_lower == pytest.approx(0.97295507, abs=1e-7)
-    assert bounds.t_c_upper == pytest.approx(1.94591015, abs=1e-7)
+def test_logistic_bounds_and_t_c_pins():
+    lower, upper = logistic_bounds(8, 1.0, 2.0, [0.0, 1.0])
+    assert lower[0] == pytest.approx(1 / 8)
+    assert upper[0] == pytest.approx(1 / 8)
+    assert lower[1] < upper[1]
+    t_lo, t_hi = t_c_bounds(8, 1.0, 2.0, 0.5)
+    assert t_lo == pytest.approx(0.97295507, abs=1e-7)
+    assert t_hi == pytest.approx(1.94591015, abs=1e-7)
     with pytest.raises(ValueError):
-        logistic_bound_set(8, 1.0, 2.0, 1.5)
+        t_c_bounds(8, 1.0, 2.0, 1.5)
 
 
 # --- level-population series against per-time flow_exact ----------------------

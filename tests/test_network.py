@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -62,15 +64,38 @@ def test_improved_stats_match_full_build():
         np.testing.assert_array_equal(terminal, sched.terminal_tau)
 
 
-def test_tau_matrix_replay():
-    sched = build_improved_schedule(3)
-    tau = sched.tau_matrix()
-    assert tau.shape == (6, sched.step_star + 1)
-    np.testing.assert_array_equal(tau[:, 0], 0)
-    np.testing.assert_array_equal(tau[:, -1], sched.terminal_tau)
-    # every pair agrees on tau at its own step
-    for s, lo, hi, t, _ in zip(sched.step, sched.lo, sched.hi, sched.tau_common, sched.fresh):
-        assert tau[lo, s] == tau[hi, s] == t
+def bumped(arr, i):
+    out = arr.copy()
+    out[i] += 1
+    return out
+
+
+def first_and_last_swapped(sched):
+    order = np.arange(sched.n_pairs)
+    order[[0, -1]] = order[[-1, 0]]
+    return {f: getattr(sched, f)[order] for f in ("step", "lo", "hi", "tau_common", "fresh")}
+
+
+@pytest.mark.parametrize("build", [lambda: build_improved_schedule(4),
+                                   lambda: build_tournament_schedule(3)],
+                         ids=["improved", "tournament"])
+@pytest.mark.parametrize("mutate, message", [
+    pytest.param(lambda s: {"tau_common": bumped(s.tau_common, s.n_pairs // 2)},
+                 "disagree on tau", id="tau_common"),
+    pytest.param(lambda s: {"terminal_tau": bumped(s.terminal_tau, 0)},
+                 "terminal tau profile mismatch", id="terminal_tau"),
+    pytest.param(lambda s: {"fresh": bumped(s.fresh, -1) % 2},
+                 "fresh flags wrong", id="fresh"),
+    pytest.param(lambda s: {"step_star": s.step_star - 1},
+                 "past step_star", id="past_step_star"),
+    pytest.param(first_and_last_swapped, "not in step order", id="step_order"),
+])
+def test_validate_rejects_mutation(build, mutate, message):
+    # validate must reject each mutation with the message of the check it targets
+    sched = build()
+    sched.validate()
+    with pytest.raises(AssertionError, match=message):
+        dataclasses.replace(sched, **mutate(sched)).validate()
 
 
 def test_validate_rejects_shared_member_within_step():
@@ -330,7 +355,7 @@ def test_exact_network_rejects_large_joint():
 def test_schedule_json_round_trip():
     sched = build_improved_schedule(3)
     payload = schedule_to_json(sched)
-    assert "tau" in payload
+    assert "tau" not in payload
     back = schedule_from_json(payload)
     assert events_of(back) == events_of(sched)
     assert back.step_star == sched.step_star

@@ -60,8 +60,14 @@ def parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
+# every key some subcommand reads from a config file
+CONFIG_KEYS = frozenset({"model", "dims", "delta", "dt", "double", "out", "seed",
+                         "t_max", "target_c", "alphas", "m_list"})
+
+
 def load_config_file(path: str) -> dict:
-    """Flat key=value lines; blank lines and '#' comments ignored."""
+    """Flat key=value lines; blank lines and '#' comments ignored.  A key no
+    subcommand reads raises ValueError."""
     values: dict[str, str] = {}
     with open(path) as fh:
         for line in fh:
@@ -72,6 +78,9 @@ def load_config_file(path: str) -> dict:
                 raise ValueError(f"bad config line: {line!r}")
             key, val = line.split("=", 1)
             values[key.strip()] = val.strip()
+    unknown = sorted(set(values) - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
     return values
 
 

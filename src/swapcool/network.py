@@ -370,66 +370,6 @@ def predict_reduced_state(sched: Schedule, j: int, kmat: CoefficientMatrix,
 
 # --- exact joint-space oracle -------------------------------------------------
 
-def _embed_pair_op(u2: np.ndarray, p: int, q: int, n: int, dim: int) -> np.ndarray:
-    """Dense operator applying u2 to factors (p, q) of an n-factor space,
-    with u2's first slot at p and second at q."""
-    joint = dim ** n
-    sp, sq = dim ** (n - 1 - p), dim ** (n - 1 - q)
-    idx = np.arange(joint)
-    gp, gq = (idx // sp) % dim, (idx // sq) % dim
-    base = np.unique(idx - gp * sp - gq * sq)
-    out = np.zeros((joint, joint), dtype=complex)
-    for a in range(dim):
-        for b in range(dim):
-            rows = base + a * sp + b * sq
-            for c in range(dim):
-                for e in range(dim):
-                    out[np.ix_(rows, base + c * sp + e * sq)] = \
-                        u2[a * dim + b, c * dim + e] * np.eye(base.size)
-    return out
-
-
-def _trace_out_pair(rho: np.ndarray, p: int, q: int, n: int, dim: int) -> np.ndarray:
-    joint = dim ** n
-    sp, sq = dim ** (n - 1 - p), dim ** (n - 1 - q)
-    idx = np.arange(joint)
-    gp, gq = (idx // sp) % dim, (idx // sq) % dim
-    base = np.unique(idx - gp * sp - gq * sq)
-    rest = np.zeros((base.size, base.size), dtype=complex)
-    for a in range(dim):
-        for b in range(dim):
-            rows = base + a * sp + b * sq
-            rest += rho[np.ix_(rows, rows)]
-    return rest, base, sp, sq
-
-
-def _fresh_pair(rho: np.ndarray, phi0: np.ndarray, p: int, q: int, n: int,
-                dim: int) -> np.ndarray:
-    """Trace out factors (p, q), dropping every correlation with them, and
-    tensor in fresh copies of phi0 at the same slots."""
-    rest, base, sp, sq = _trace_out_pair(rho, p, q, n, dim)
-    proj = np.outer(phi0, phi0.conj())
-    out = np.zeros_like(rho)
-    for a in range(dim):
-        for b in range(dim):
-            rows = base + a * sp + b * sq
-            for c in range(dim):
-                for e in range(dim):
-                    out[np.ix_(rows, base + c * sp + e * sq)] = \
-                        proj[a, c] * proj[b, e] * rest
-    return out
-
-
-def _reduce_single(rho: np.ndarray, keep: int, n: int, dim: int) -> np.ndarray:
-    r = rho.reshape([dim] * (2 * n))
-    for f in range(n):
-        if f == keep:
-            continue
-        ax = 0 if f < keep else 1
-        r = np.trace(r, axis1=ax, axis2=r.ndim // 2 + ax)
-    return r
-
-
 def simulate_network_exact(sched: Schedule, spec: Spectrum, phi0: PureState,
                            dt: float, energy_tol: float = 1e-10,
                            return_energy_trace: bool = False):
@@ -441,6 +381,10 @@ def simulate_network_exact(sched: Schedule, spec: Spectrum, phi0: PureState,
     protocol application (it only jumps at fresh replacements).  Toy scale
     only: dim^n_systems is capped at 1024.  With return_energy_trace the
     per-event totals and the replaced members' energies come back as well.
+
+    rho is held as a 2n-axis tensor: axis f is system f's row index and axis
+    n + f its column index, so a pair unitary contracts two axes on each side
+    (dim^(2n+2) multiply-adds) instead of multiplying joint x joint matrices.
     """
     _check_dims(phi0, spec)
     dim, n = spec.dim, sched.n_systems
@@ -450,34 +394,49 @@ def simulate_network_exact(sched: Schedule, spec: Spectrum, phi0: PureState,
     psi = amp
     for _ in range(n - 1):
         psi = np.kron(psi, amp)
-    rho = np.outer(psi, psi.conj())
+    rho = np.outer(psi, psi.conj()).reshape((dim,) * (2 * n))
+    rows, cols = list(range(n)), list(range(n, 2 * n))
     # Eq.-(5) slot order is (cooled, heated) = (hi, lo)
-    u2 = protocol_unitary(spec, dt)
+    u4 = protocol_unitary(spec, dt).reshape((dim,) * 4)
+    proj = np.outer(amp, amp.conj())
     h_single = spec.eigenvalues
 
-    def member_energy(r, f):
-        return float(np.real(np.diag(_reduce_single(r, f, n, dim)) @ h_single))
+    def member_energies(r):
+        pops = np.einsum(r, rows + rows, rows).real
+        return [float(pops.sum(axis=tuple(g for g in rows if g != f)) @ h_single)
+                for f in rows]
 
-    def total_energy(r):
-        return sum(member_energy(r, f) for f in range(n))
+    def reduced_state(r, f):
+        labels = rows + rows
+        labels[n + f] = n + f
+        return np.einsum(r, labels, [f, n + f])
 
+    energies = member_energies(rho)
     trace = []
     for p in range(sched.n_pairs):
-        lo, hi = int(sched.lo[p]), int(sched.hi[p])
-        record = {"step": int(sched.step[p]), "pair": (lo, hi),
-                  "fresh": bool(sched.fresh[p]), "total_before": total_energy(rho)}
+        step, lo, hi = int(sched.step[p]), int(sched.lo[p]), int(sched.hi[p])
+        record = {"step": step, "pair": (lo, hi),
+                  "fresh": bool(sched.fresh[p]), "total_before": sum(energies)}
         if sched.fresh[p]:
-            record["replaced_energies"] = (member_energy(rho, lo), member_energy(rho, hi))
-            rho = _fresh_pair(rho, amp, lo, hi, n, dim)
-        e_before = total_energy(rho)
-        record["total_after_fresh"] = e_before
-        u_full = _embed_pair_op(u2, hi, lo, n, dim)
-        rho = u_full @ rho @ u_full.conj().T
-        record["total_after"] = total_energy(rho)
-        if abs(record["total_after"] - e_before) > energy_tol:
-            raise AssertionError("pair application failed to conserve total energy")
+            record["replaced_energies"] = (energies[lo], energies[hi])
+            traced = rows + cols
+            traced[n + lo], traced[n + hi] = lo, hi
+            rest = [a for a in rows + cols if a not in (lo, hi, n + lo, n + hi)]
+            rho = np.einsum(np.einsum(rho, traced, rest), rest,
+                            proj, [lo, n + lo], proj, [hi, n + hi], rows + cols)
+            energies = member_energies(rho)
+        record["total_after_fresh"] = sum(energies)
+        rho = np.moveaxis(np.tensordot(u4, rho, axes=([2, 3], [hi, lo])), [0, 1], [hi, lo])
+        rho = np.moveaxis(np.tensordot(rho, u4.conj(), axes=([n + hi, n + lo], [2, 3])),
+                          [-2, -1], [n + hi, n + lo])
+        energies = member_energies(rho)
+        record["total_after"] = sum(energies)
+        drift = record["total_after"] - record["total_after_fresh"]
+        if abs(drift) > energy_tol:
+            raise AssertionError(f"step {step}, pair ({lo}, {hi}): total energy drifted "
+                                 f"by {drift:.3e}, above energy_tol {energy_tol:.3e}")
         trace.append(record)
-    reduced = [DensityOperator(_reduce_single(rho, f, n, dim)) for f in range(n)]
+    reduced = [DensityOperator(reduced_state(rho, f)) for f in rows]
     if return_energy_trace:
         return reduced, trace
     return reduced

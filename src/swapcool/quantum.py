@@ -229,12 +229,3 @@ def state_to_json(state: PureState) -> dict:
 
 def state_from_json(obj: dict) -> PureState:
     return PureState(_deinterleave(obj["amplitudes"]))
-
-
-def density_to_json(rho: DensityOperator) -> dict:
-    return {"dim": rho.dim, "matrix": _interleave(rho.matrix)}
-
-
-def density_from_json(obj: dict) -> DensityOperator:
-    d = int(obj["dim"])
-    return DensityOperator(_deinterleave(obj["matrix"]).reshape(d, d))

@@ -122,11 +122,15 @@ def check_energy_conservation(seed: int = 0, trials: int = 400) -> CheckResult:
         worst = max(worst, abs(dense.e_a + dense.e_b - 2.0 * dense.e0))
     sched = build_improved_schedule(2)
     spec = Spectrum(np.array([-1.0, 0.0, 1.0]), label="toy")
-    simulate_network_exact(sched, spec, uniform_state(3), 0.05,
-                           energy_tol=CONSERVATION_TOL)   # raises on violation
+    _, trace = simulate_network_exact(sched, spec, uniform_state(3), 0.05,
+                                      energy_tol=CONSERVATION_TOL,   # raises on violation
+                                      return_energy_trace=True)
+    drift = max(abs(r["total_after"] - r["total_after_fresh"]) for r in trace)
     return CheckResult("energy_conservation", worst <= CONSERVATION_TOL,
                        {"trials": trials, "max_violation": worst,
                         "network_steps_checked": sched.n_pairs,
+                        "network_max_pair_drift": drift,
+                        "network_drift_margin": CONSERVATION_TOL - drift,
                         "tolerance": CONSERVATION_TOL})
 
 

@@ -166,6 +166,16 @@ def test_config_file_with_flag_override(tmp_path):
     assert "spectrum_a_dim8.txt" not in names    # flag wins over config
 
 
+@pytest.mark.parametrize("line,key", [("jobs=2", "jobs"), ("dim=8", "dim")])
+def test_config_file_unknown_key_exit_2(tmp_path, capsys, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model=a\ndims=4\n{line}\n")
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"unknown config key(s) in {cfg}: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_manifest_lists_hashes(tmp_path):
     import hashlib
 

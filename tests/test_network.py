@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -350,6 +351,103 @@ def test_exact_network_rejects_large_joint():
     sched = build_improved_schedule(2)
     with pytest.raises(ValueError):
         simulate_network_exact(sched, spec, uniform_state(8), 0.01)
+
+
+def test_exact_network_energy_assertion_names_step_and_pair(monkeypatch):
+    # a unitary that does not commute with H1 + H2 moves the total energy
+    import swapcool.network as network
+
+    spec = Spectrum(np.array([-1.0, 0.0]))
+    rot = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    monkeypatch.setattr(network, "protocol_unitary", lambda spec, dt: np.kron(rot, np.eye(2)))
+    with pytest.raises(AssertionError,
+                       match=r"step 0, pair \(0, 1\): total energy drifted by "
+                             r"-?\d\.\d{3}e[-+]\d+, above energy_tol 1\.000e-10"):
+        simulate_network_exact(build_improved_schedule(2), spec, basis_state(2, 0), 0.1)
+
+
+def _reference_network(sched, spec, phi0, dt, first="hi"):
+    """Joint-space reference built from np.kron products and explicit basis
+    permutations: system f is factor f of the kron product.  The pair unitary
+    is exp(+i S pi/4) (e^{-iH dt/2} (x) e^{+iH dt/2}) with its first slot on
+    the pair's `first` member ("hi" is Eq. (5)'s cooled-first order)."""
+    dim, n = spec.dim, sched.n_systems
+    joint = dim ** n
+    h = spec.eigenvalues
+    digits = np.array(list(itertools.product(range(dim), repeat=n)))
+    weights = dim ** np.arange(n - 1, -1, -1)
+
+    def perm(front):
+        # P |k> lists the factors `front` first, then the others in index order
+        order = list(front) + [f for f in range(n) if f not in front]
+        p = np.zeros((joint, joint))
+        p[digits[:, order] @ weights, np.arange(joint)] = 1.0
+        return p
+
+    swap = np.zeros((dim * dim, dim * dim))
+    for a, b in itertools.product(range(dim), repeat=2):
+        swap[b * dim + a, a * dim + b] = 1.0
+    fwd = np.exp(-0.5j * h * dt)
+    u2 = (np.eye(dim * dim) + 1j * swap) / np.sqrt(2.0) @ np.diag(np.kron(fwd, fwd.conj()))
+    proj = np.outer(phi0.amplitudes, phi0.amplitudes.conj())
+
+    def energies(rho):
+        out = []
+        for f in range(n):
+            hf = np.ones(1)
+            for g in range(n):
+                hf = np.kron(hf, h if g == f else np.ones(dim))
+            out.append(float(np.real(np.trace(rho @ np.diag(hf)))))
+        return out
+
+    def reduced(rho, f):
+        p = perm([f])
+        r = (p @ rho @ p.T).reshape(dim, joint // dim, dim, joint // dim)
+        return np.einsum("aibi->ab", r)
+
+    psi = np.ones(1)
+    for _ in range(n):
+        psi = np.kron(psi, phi0.amplitudes)
+    rho = np.outer(psi, psi.conj())
+    trace = []
+    for s, lo, hi, fresh in zip(sched.step, sched.lo, sched.hi, sched.fresh):
+        lo, hi = int(lo), int(hi)
+        p = perm([hi, lo] if first == "hi" else [lo, hi])
+        rec = {"total_before": sum(energies(rho))}
+        if fresh:
+            r = (p @ rho @ p.T).reshape(dim * dim, joint // dim ** 2, dim * dim, -1)
+            rest = np.einsum("aiaj->ij", r)
+            rho = p.T @ np.kron(np.kron(proj, proj), rest) @ p
+        rec["total_after_fresh"] = sum(energies(rho))
+        u_full = p.T @ np.kron(u2, np.eye(joint // dim ** 2)) @ p
+        rho = u_full @ rho @ u_full.conj().T
+        rec["total_after"] = sum(energies(rho))
+        trace.append(rec)
+    return [reduced(rho, f) for f in range(n)], trace
+
+
+@pytest.mark.parametrize("kind,size,dim", [("improved", 2, 2), ("improved", 1, 3),
+                                           ("tournament", 2, 2)])
+def test_exact_network_matches_kron_reference(kind, size, dim):
+    rng = np.random.default_rng(31 * size + dim)
+    spec = Spectrum(np.sort(rng.uniform(-1.0, 1.0, size=dim)))
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    phi = PureState(v / np.linalg.norm(v))
+    sched = (build_improved_schedule(size) if kind == "improved"
+             else build_tournament_schedule(size))
+    reduced, trace = simulate_network_exact(sched, spec, phi, 0.3, return_energy_trace=True)
+    ref_reduced, ref_trace = _reference_network(sched, spec, phi, 0.3)
+    for got, want in zip(reduced, ref_reduced):
+        assert np.abs(got.matrix - want).max() <= 1e-13
+    assert len(trace) == len(ref_trace) == sched.n_pairs
+    for rec, ref in zip(trace, ref_trace):
+        for key in ("total_before", "total_after_fresh", "total_after"):
+            assert rec[key] == pytest.approx(ref[key], abs=1e-12)
+    if kind == "improved" and size == 2:
+        assert int(sched.fresh.sum()) == 1
+        # the comparison above can tell the two slot orders apart
+        swapped, _ = _reference_network(sched, spec, phi, 0.3, first="lo")
+        assert max(np.abs(r.matrix - w).max() for r, w in zip(reduced, swapped)) > 1e-3
 
 
 def test_schedule_json_round_trip():

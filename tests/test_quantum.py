@@ -6,8 +6,6 @@ from swapcool.quantum import (
     DensityOperator,
     PureState,
     basis_state,
-    density_from_json,
-    density_to_json,
     eigendecompose,
     energy_moments,
     evolve_phase,
@@ -200,11 +198,3 @@ def test_state_json_round_trip():
     phi = random_state(rng, 5)
     back = state_from_json(state_to_json(phi))
     np.testing.assert_array_equal(back.amplitudes, phi.amplitudes)
-
-
-def test_density_json_round_trip():
-    rng = np.random.default_rng(9)
-    phi = random_state(rng, 4)
-    rho = DensityOperator(phi.projector())
-    back = density_from_json(density_to_json(rho))
-    np.testing.assert_array_equal(back.matrix, rho.matrix)

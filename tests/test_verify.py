@@ -15,7 +15,11 @@ def test_oracle_check_verdict_stable_across_seeds(seed):
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_conservation_verdict_stable_across_seeds(seed):
-    assert verify.check_energy_conservation(seed=seed, trials=60).passed
+    res = verify.check_energy_conservation(seed=seed, trials=60)
+    assert res.passed
+    drift = res.details["network_max_pair_drift"]
+    assert 0.0 <= drift <= verify.CONSERVATION_TOL
+    assert res.details["network_drift_margin"] == verify.CONSERVATION_TOL - drift
 
 
 def test_report_shape():

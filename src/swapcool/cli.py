@@ -12,8 +12,8 @@ import argparse
 import json
 import os
 import sys
-
-import numpy as np
+from dataclasses import dataclass, field
+from typing import Callable
 
 from . import __version__, experiments, verify
 from .hamiltonian import (
@@ -23,7 +23,7 @@ from .hamiltonian import (
     spectrum_to_json,
     spectrum_to_text,
 )
-from .experiments import ExperimentConfig, RunManifest, StageTimer, write_atomic, write_manifest
+from .experiments import RunManifest, StageTimer, write_atomic, write_manifest
 from .network import (
     build_improved_schedule,
     build_tournament_schedule,
@@ -53,16 +53,97 @@ def parse_dims(text: str) -> list[int]:
             dims.append(d)
             d *= 2
         return dims
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    dims = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not dims:
+        raise ValueError("empty dims list")
+    return dims
 
 
 def parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
-# every key some subcommand reads from a config file
-CONFIG_KEYS = frozenset({"model", "dims", "delta", "dt", "double", "out", "seed",
-                         "t_max", "target_c", "alphas", "m_list"})
+def parse_models(text: str) -> list[str]:
+    models = [m.strip() for m in text.split(",")]
+    for kind in models:
+        if kind not in MODEL_KINDS:
+            raise ValueError(f"unknown model {kind!r}")
+    return models
+
+
+def parse_dt(text: str) -> float:
+    dt = float(text)
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    return dt
+
+
+def parse_m_list(text: str) -> list[int]:
+    m_list = parse_int_list(text)
+    if not m_list or min(m_list) < 1:
+        raise ValueError(f"need one or more m, each >= 1, got {text!r}")
+    return m_list
+
+
+def parse_switch(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes")
+
+
+@dataclass(frozen=True)
+class Setting:
+    """A setting's flag, its default (None: the command works the value out
+    per spectrum) and the one parser for flag and config-file text alike;
+    config files name it by its key in SETTINGS."""
+
+    flag: str
+    default: str | None
+    parse: Callable[[str], object]
+    help: str
+    switch: bool = False         # a bare flag that sets the text "true"
+
+
+SETTINGS = {
+    "model": Setting("--model", "a,b,c,d", parse_models, "comma list from {a,b,c,d}"),
+    "dims": Setting("--dims", "8..512", parse_dims, "e.g. 8..512 (powers of 2) or 8,16,32"),
+    "delta": Setting("--delta", "1.0", float, "energy scale of the model spectra"),
+    "double": Setting("--double", "false", parse_switch,
+                      "replace each spectrum by its doubled version", switch=True),
+    "dt": Setting("--dt", None, parse_dt, "protocol step; default 0.01/gap"),
+    "t_max": Setting("--t-max", None, float, "trajectory end; default 2 t_c upper bound"),
+    "target_c": Setting("--target-c", "0.99", float, "trajectory reaches past t_c of this target"),
+    "alphas": Setting("--alphas", "1,2,3,4", parse_int_list, "comma list"),
+    "m_list": Setting("--m", "16,32,64,128", parse_m_list, "comma list of m values"),
+    "seed": Setting("--seed", "0", int, "seed of the randomised checks"),
+    "out": Setting("--out", "out", str, "output directory"),
+}
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand's help line, the settings it reads and its own defaults
+    for some of them."""
+
+    help: str
+    settings: tuple[str, ...]
+    defaults: dict = field(default_factory=dict)
+
+
+# the settings of every subcommand that builds model spectra
+SPECTRA = ("model", "dims", "delta", "double", "out")
+
+COMMANDS = {
+    "spectrum": Command("emit model spectra (text + JSON)", SPECTRA),
+    "flow": Command("ground-population trajectories with bounds",
+                    SPECTRA + ("dt", "t_max", "target_c")),
+    "protocol": Command("single protocol application as JSON", SPECTRA + ("dt",)),
+    "schedule": Command("pairing schedules as JSON", ("m_list", "out"), {"m_list": "1,2,4"}),
+    "coeffs": Command("coefficient matrices and scaling study", ("m_list", "out")),
+    "xi": Command("network-error diagnostic sweep", SPECTRA + ("dt", "alphas")),
+    "verify": Command("oracle and invariant suites", ("seed", "out")),
+}
+
+# every key some subcommand reads, so one config file can drive the pipeline
+CONFIG_KEYS = frozenset(name for command in COMMANDS.values() for name in command.settings)
 
 
 def load_config_file(path: str) -> dict:
@@ -89,201 +170,141 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="energy-transfer protocol experiments")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    subparsers = {}
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="flat key=value config file (flags win)")
-        p.add_argument("--model", help="comma list from {a,b,c,d}", default=None)
-        p.add_argument("--dims", help="e.g. 8..512 (powers of 2) or 8,16,32", default=None)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--dt", type=float, default=None,
-                       help="protocol step; default 0.01/gap")
-        p.add_argument("--double", action="store_true", default=None,
-                       help="replace each spectrum by its doubled version")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-
-    p_spec = sub.add_parser("spectrum", help="emit model spectra (text + JSON)")
-    common(p_spec)
-
-    p_flow = sub.add_parser("flow", help="ground-population trajectories with bounds")
-    common(p_flow)
-    p_flow.add_argument("--t-max", type=float, default=None)
-    p_flow.add_argument("--target-c", type=float, default=None,
-                        help="trajectory reaches past t_c of this target (default 0.99)")
-
-    p_proto = sub.add_parser("protocol", help="single protocol application as JSON")
-    common(p_proto)
-
-    p_sched = sub.add_parser("schedule", help="pairing schedules as JSON")
-    common(p_sched)
-    p_sched.add_argument("--m", dest="m_list", default=None,
-                         help="comma list of m values (default 1,2,4)")
-    p_sched.add_argument("--tournament", type=int, default=None, metavar="N",
-                         help="also emit the 2^N-system tournament schedule")
-
-    p_coef = sub.add_parser("coeffs", help="coefficient matrices and scaling study")
-    common(p_coef)
-    p_coef.add_argument("--m", dest="m_list", default=None,
-                        help="comma list of m values (default 16,32,64,128)")
-
-    p_xi = sub.add_parser("xi", help="network-error diagnostic sweep")
-    common(p_xi)
-    p_xi.add_argument("--alphas", default=None, help="comma list (default 1,2,3,4)")
-    p_xi.add_argument("--k-base", default=None,
-                      help="coefficient JSON from `coeffs` to rescale "
-                           "(default <out>/K_m128.json)")
-
-    p_ver = sub.add_parser("verify", help="oracle and invariant suites")
-    common(p_ver)
-    p_ver.add_argument("--full", action="store_true",
-                       help="include the scaling, xi-trend and determinism suites")
+        for key in command.settings:
+            setting = SETTINGS[key]
+            if setting.switch:
+                p.add_argument(setting.flag, dest=key, action="store_const", const="true",
+                               help=setting.help)
+                continue
+            default = command.defaults.get(key, setting.default)
+            p.add_argument(setting.flag, dest=key, help=setting.help if default is None
+                           else f"{setting.help} (default {default})")
+        subparsers[name] = p
+    subparsers["schedule"].add_argument("--tournament", type=int, default=None, metavar="N",
+                                        help="also emit the 2^N-system tournament schedule")
+    subparsers["xi"].add_argument("--k-base", default=None,
+                                  help="coefficient JSON from `coeffs` to rescale "
+                                       "(default <out>/K_m128.json)")
+    subparsers["verify"].add_argument("--full", action="store_true",
+                                      help="include the scaling, xi-trend and determinism suites")
     return parser
 
 
-def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig()
+def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Each setting the subcommand reads, from its flag, else the config file,
+    else the default, through the setting's parser."""
     file_vals = load_config_file(args.config) if args.config else {}
-
-    def pick(flag_val, key, cast, fallback):
-        if flag_val is not None:
-            return flag_val
-        if key in file_vals:
-            return cast(file_vals[key])
-        return fallback
-
-    cfg.models = pick(args.model and [m.strip() for m in args.model.split(",")],
-                      "model", lambda s: [m.strip() for m in s.split(",")], cfg.models)
-    cfg.dims = pick(args.dims and parse_dims(args.dims), "dims", parse_dims, cfg.dims)
-    cfg.delta = pick(args.delta, "delta", float, cfg.delta)
-    cfg.dt = pick(args.dt, "dt", float, cfg.dt)
-    cfg.use_double = bool(pick(args.double, "double",
-                               lambda s: s.lower() in ("1", "true", "yes"), False))
-    cfg.out_dir = pick(args.out, "out", str, cfg.out_dir)
-    cfg.seed = pick(args.seed, "seed", int, cfg.seed)
-    if hasattr(args, "t_max"):
-        cfg.t_max = pick(args.t_max, "t_max", float, cfg.t_max)
-    if hasattr(args, "target_c"):
-        cfg.target_c = pick(args.target_c, "target_c", float, cfg.target_c)
-    if hasattr(args, "alphas"):
-        cfg.alphas = pick(args.alphas and parse_int_list(args.alphas),
-                          "alphas", parse_int_list, cfg.alphas)
-    if getattr(args, "m_list", None) is not None or "m_list" in file_vals:
-        cfg.m_list = pick(args.m_list and parse_int_list(args.m_list),
-                          "m_list", parse_int_list, cfg.m_list)
-    elif args.command == "schedule":
-        cfg.m_list = [1, 2, 4]
-
-    for kind in cfg.models:
-        if kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model {kind!r}")
-    if not cfg.dims:
-        raise ValueError("empty dims list")
-    if cfg.dt is not None and cfg.dt <= 0:
-        raise ValueError("dt must be positive")
+    command = COMMANDS[args.command]
+    cfg = argparse.Namespace()
+    for key in command.settings:
+        text = getattr(args, key)
+        if text is None:
+            text = file_vals.get(key, command.defaults.get(key, SETTINGS[key].default))
+        try:
+            setattr(cfg, key, None if text is None else SETTINGS[key].parse(text))
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
     # probe every (model, dim) combination up front so commands never leave
     # partial outputs behind on invalid input
-    if args.command in ("spectrum", "flow", "protocol", "xi"):
-        for kind in cfg.models:
-            for dim in cfg.dims:
-                build_model(kind, dim, cfg.delta)
-    if args.command in ("schedule", "coeffs"):
-        for m in cfg.m_list:
-            if m < 1:
-                raise ValueError(f"m must be >= 1, got {m}")
+    for kind in getattr(cfg, "model", ()):
+        for dim in cfg.dims:
+            build_model(kind, dim, cfg.delta)
     return cfg
 
 
-def _new_manifest(cfg: ExperimentConfig, command: str) -> RunManifest:
-    config = cfg.to_json()
-    config["command"] = command
-    return RunManifest(config=config, version=__version__)
+def _new_manifest(cfg: argparse.Namespace, command: str) -> RunManifest:
+    return RunManifest(config=dict(vars(cfg), command=command), version=__version__)
 
 
-def cmd_spectrum(cfg: ExperimentConfig) -> int:
+def cmd_spectrum(cfg: argparse.Namespace) -> int:
     manifest = _new_manifest(cfg, "spectrum")
     with StageTimer(manifest, "spectra"):
-        for kind in cfg.models:
+        for kind in cfg.model:
             for dim in cfg.dims:
                 spec = build_model(kind, dim, cfg.delta)
-                if cfg.use_double:
+                if cfg.double:
                     spec = double(spec)
-                name = f"spectrum_{kind}_dim{dim}" + ("_doubled" if cfg.use_double else "")
-                write_atomic(os.path.join(cfg.out_dir, name + ".txt"),
+                name = f"spectrum_{kind}_dim{dim}" + ("_doubled" if cfg.double else "")
+                write_atomic(os.path.join(cfg.out, name + ".txt"),
                              spectrum_to_text(spec), manifest)
-                write_atomic(os.path.join(cfg.out_dir, name + ".json"),
+                write_atomic(os.path.join(cfg.out, name + ".json"),
                              json.dumps(spectrum_to_json(spec)) + "\n", manifest)
-    write_manifest(cfg.out_dir, manifest)
+    write_manifest(cfg.out, manifest)
     return EXIT_OK
 
 
-def cmd_flow(cfg: ExperimentConfig) -> int:
+def cmd_flow(cfg: argparse.Namespace) -> int:
     manifest = _new_manifest(cfg, "flow")
     with StageTimer(manifest, "flow"):
-        for kind in cfg.models:
+        for kind in cfg.model:
             for dim in cfg.dims:
                 csv_text = experiments.flow_csv(kind, dim, cfg.delta, cfg.dt, cfg.t_max,
-                                                cfg.target_c, cfg.use_double)
-                name = f"flow_{kind}_dim{dim}" + ("_doubled" if cfg.use_double else "")
-                write_atomic(os.path.join(cfg.out_dir, name + ".csv"), csv_text, manifest)
-    write_manifest(cfg.out_dir, manifest)
+                                                cfg.target_c, cfg.double)
+                name = f"flow_{kind}_dim{dim}" + ("_doubled" if cfg.double else "")
+                write_atomic(os.path.join(cfg.out, name + ".csv"), csv_text, manifest)
+    write_manifest(cfg.out, manifest)
     return EXIT_OK
 
 
-def cmd_protocol(cfg: ExperimentConfig) -> int:
+def cmd_protocol(cfg: argparse.Namespace) -> int:
     manifest = _new_manifest(cfg, "protocol")
     with StageTimer(manifest, "protocol"):
-        for kind in cfg.models:
+        for kind in cfg.model:
             for dim in cfg.dims:
-                spec = experiments.make_spectrum(kind, dim, cfg.delta, cfg.use_double)
+                spec = experiments.make_spectrum(kind, dim, cfg.delta, cfg.double)
                 dt = experiments.resolve_dt(spec, cfg.dt)
                 out = apply_protocol(uniform_state(spec.dim), spec, dt)
                 payload = protocol_output_to_json(out)
                 payload["model"] = kind
                 payload["dim"] = dim
-                name = f"protocol_{kind}_dim{dim}" + ("_doubled" if cfg.use_double else "")
-                write_atomic(os.path.join(cfg.out_dir, name + ".json"),
+                name = f"protocol_{kind}_dim{dim}" + ("_doubled" if cfg.double else "")
+                write_atomic(os.path.join(cfg.out, name + ".json"),
                              json.dumps(payload) + "\n", manifest)
-    write_manifest(cfg.out_dir, manifest)
+    write_manifest(cfg.out, manifest)
     return EXIT_OK
 
 
-def cmd_schedule(cfg: ExperimentConfig, tournament: int | None) -> int:
+def cmd_schedule(cfg: argparse.Namespace, tournament: int | None) -> int:
     manifest = _new_manifest(cfg, "schedule")
     with StageTimer(manifest, "schedules"):
         for m in cfg.m_list:
             sched = build_improved_schedule(m)
             sched.validate()
-            write_atomic(os.path.join(cfg.out_dir, f"schedule_m{m}.json"),
+            write_atomic(os.path.join(cfg.out, f"schedule_m{m}.json"),
                          json.dumps(schedule_to_json(sched)) + "\n", manifest)
         if tournament is not None:
             sched = build_tournament_schedule(tournament)
-            write_atomic(os.path.join(cfg.out_dir, f"schedule_tournament_n{tournament}.json"),
+            write_atomic(os.path.join(cfg.out, f"schedule_tournament_n{tournament}.json"),
                          json.dumps(schedule_to_json(sched)) + "\n", manifest)
-    write_manifest(cfg.out_dir, manifest)
+    write_manifest(cfg.out, manifest)
     return EXIT_OK
 
 
-def cmd_coeffs(cfg: ExperimentConfig) -> int:
+def cmd_coeffs(cfg: argparse.Namespace) -> int:
     manifest = _new_manifest(cfg, "coeffs")
     with StageTimer(manifest, "coefficients"):
         data = experiments.coeffs_dataset(cfg.m_list)
         for m, kmat in sorted(data.matrices.items()):
-            write_atomic(os.path.join(cfg.out_dir, f"K_m{m}.csv"), kmat.to_csv(), manifest)
-            write_atomic(os.path.join(cfg.out_dir, f"K_m{m}.json"),
+            write_atomic(os.path.join(cfg.out, f"K_m{m}.csv"), kmat.to_csv(), manifest)
+            write_atomic(os.path.join(cfg.out, f"K_m{m}.json"),
                          json.dumps(coefficients_to_json(kmat)) + "\n", manifest)
         for name, csv_text in sorted(data.cuts.items()):
-            write_atomic(os.path.join(cfg.out_dir, f"{name}.csv"), csv_text, manifest)
-        write_atomic(os.path.join(cfg.out_dir, "step_star.csv"),
+            write_atomic(os.path.join(cfg.out, f"{name}.csv"), csv_text, manifest)
+        write_atomic(os.path.join(cfg.out, "step_star.csv"),
                      data.step_star_csv(), manifest)
         summary = {"reports": [r.to_json() for r in data.reports]}
-        write_atomic(os.path.join(cfg.out_dir, "scaling_summary.json"),
+        write_atomic(os.path.join(cfg.out, "scaling_summary.json"),
                      json.dumps(summary, indent=1, sort_keys=True) + "\n", manifest)
-    write_manifest(cfg.out_dir, manifest)
+    write_manifest(cfg.out, manifest)
     return EXIT_OK
 
 
-def cmd_xi(cfg: ExperimentConfig, k_base_path: str | None) -> int:
-    path = k_base_path or os.path.join(cfg.out_dir, f"K_m{experiments.XI_BASE_M}.json")
+def cmd_xi(cfg: argparse.Namespace, k_base_path: str | None) -> int:
+    path = k_base_path or os.path.join(cfg.out, f"K_m{experiments.XI_BASE_M}.json")
     if not os.path.exists(path):
         print(f"error: coefficient base {path} not found; run `swapcool coeffs` first",
               file=sys.stderr)
@@ -293,22 +314,22 @@ def cmd_xi(cfg: ExperimentConfig, k_base_path: str | None) -> int:
     manifest = _new_manifest(cfg, "xi")
     manifest.config["k_base"] = os.path.basename(path)
     with StageTimer(manifest, "xi"):
-        rows = experiments.xi_sweep(cfg.models, cfg.dims, cfg.alphas, base,
-                                    cfg.delta, cfg.dt, cfg.use_double)
-        write_atomic(os.path.join(cfg.out_dir, "xi.csv"),
+        rows = experiments.xi_sweep(cfg.model, cfg.dims, cfg.alphas, base,
+                                    cfg.delta, cfg.dt, cfg.double)
+        write_atomic(os.path.join(cfg.out, "xi.csv"),
                      experiments.xi_rows_to_csv(rows), manifest)
-    write_manifest(cfg.out_dir, manifest)
+    write_manifest(cfg.out, manifest)
     return EXIT_OK
 
 
-def cmd_verify(cfg: ExperimentConfig, full: bool) -> int:
+def cmd_verify(cfg: argparse.Namespace, full: bool) -> int:
     manifest = _new_manifest(cfg, "verify")
     with StageTimer(manifest, "verify"):
         results = verify.run_verify(seed=cfg.seed, full=full)
     report = verify.report_to_json(results)
-    write_atomic(os.path.join(cfg.out_dir, "verify_report.json"),
+    write_atomic(os.path.join(cfg.out, "verify_report.json"),
                  json.dumps(report, indent=1, sort_keys=True) + "\n", manifest)
-    write_manifest(cfg.out_dir, manifest)
+    write_manifest(cfg.out, manifest)
     for res in results:
         print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}")
     if not report["passed"]:
@@ -319,14 +340,9 @@ def cmd_verify(cfg: ExperimentConfig, full: bool) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
         if args.command == "spectrum":
             return cmd_spectrum(cfg)
         if args.command == "flow":

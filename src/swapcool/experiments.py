@@ -23,36 +23,14 @@ from .network import (
     build_improved_schedule,
     check_scaling_law,
     propagate_coefficients,
+    rescaled_frame,
+    scaling_cut_positions,
     xi_result,
 )
 from .quantum import energy_moments, uniform_state
 
 DEFAULT_DT_FACTOR = 0.01     # protocol step in units of the inverse gap
-DEFAULT_M_LIST = (16, 32, 64, 128)
 XI_BASE_M = 128
-
-
-@dataclass
-class ExperimentConfig:
-    models: list[str] = field(default_factory=lambda: ["a", "b", "c", "d"])
-    dims: list[int] = field(default_factory=lambda: [2 ** p for p in range(3, 10)])
-    delta: float = 1.0
-    dt: float | None = None          # None: 0.01 / gap per spectrum
-    t_max: float | None = None       # None: 2 * t_c(0.99)
-    target_c: float = 0.99
-    alphas: list[int] = field(default_factory=lambda: [1, 2, 3, 4])
-    m_list: list[int] = field(default_factory=lambda: list(DEFAULT_M_LIST))
-    out_dir: str = "out"
-    seed: int = 0
-    use_double: bool = False
-
-    def to_json(self) -> dict:
-        return {
-            "models": self.models, "dims": self.dims, "delta": self.delta,
-            "dt": self.dt, "t_max": self.t_max, "target_c": self.target_c,
-            "alphas": self.alphas, "m_list": self.m_list, "out_dir": self.out_dir,
-            "seed": self.seed, "double": self.use_double,
-        }
 
 
 def make_spectrum(kind: str, dim: int, delta: float, use_double: bool = False) -> Spectrum:
@@ -102,39 +80,34 @@ class CoeffsDataset:
         return "\n".join(lines) + "\n"
 
 
-def _rescaled_entry(big: CoefficientMatrix, lam: int, j: int, kp: int) -> float:
-    """Entry (j, k') of a base matrix lam times smaller, read off ``big`` via
-    the scaling law: big[lam*j, lam*k'] / lam, or 0 where lam*k' leaves its
-    range."""
-    bkp = lam * kp
-    return float(big.k[lam * j - 1][bkp + big.m] / lam) if abs(bkp) <= big.m else 0.0
-
-
 def _cut_csvs(matrices: dict[int, CoefficientMatrix]) -> dict[str, str]:
-    """Eight cross-sections (four rows, four columns at quarter positions of
-    the smallest matrix), every larger matrix rescaled into its frame."""
+    """The eight standard cuts of the smallest matrix, every larger matrix
+    rescaled into its frame."""
     ms = sorted(matrices)
     m0 = ms[0]
+    frames = [rescaled_frame(matrices[m], m0) for m in ms]
+    header = ",".join(f"m{m}" for m in ms)
 
-    def cut(first_column: str, points) -> str:
-        """One CSV; points are (label, j, k') in the smallest matrix's frame."""
-        lines = [first_column + "," + ",".join(f"m{m}" for m in ms)]
-        for label, j, kp in points:
-            vals = [_rescaled_entry(matrices[m], m // m0, j, kp) for m in ms]
-            lines.append(label + "," + ",".join(repr(v) for v in vals))
+    def cut(first_column: str, labels, values) -> str:
+        """One CSV: a label column, then one column per matrix."""
+        lines = [first_column + "," + header]
+        for label, row in zip(labels, zip(*values)):
+            lines.append(label + "," + ",".join(repr(float(v)) for v in row))
         return "\n".join(lines) + "\n"
 
+    rows, columns = scaling_cut_positions(m0)
     cuts: dict[str, str] = {}
-    for idx, j0 in enumerate([m0 // 2, m0, 3 * m0 // 2, 2 * m0], start=1):
+    for idx, j0 in enumerate(rows, start=1):
         cuts[f"cut_row{idx}_j{j0}"] = cut(
-            "kprime", [(repr(float(kp)), j0, kp) for kp in range(-m0, m0 + 1)])
-    for idx, kp0 in enumerate([-m0 // 2, 0, m0 // 2, m0 - 1], start=1):
+            "kprime", [repr(float(kp)) for kp in range(-m0, m0 + 1)],
+            [f[j0 - 1] for f in frames])
+    for idx, kp0 in enumerate(columns, start=1):
         cuts[f"cut_col{idx}_k{kp0}"] = cut(
-            "j", [(str(j), j, kp0) for j in range(1, 2 * m0 + 1)])
+            "j", [str(j) for j in range(1, 2 * m0 + 1)], [f[:, kp0 + m0] for f in frames])
     return cuts
 
 
-def coeffs_dataset(m_list=DEFAULT_M_LIST) -> CoeffsDataset:
+def coeffs_dataset(m_list) -> CoeffsDataset:
     m_list = sorted(m_list)
     matrices = {}
     step_stars = {}

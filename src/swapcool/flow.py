@@ -129,14 +129,13 @@ def flow_rk4(phi0: PureState, spec: Spectrum, t: float, h: float) -> PureState:
     return PureState(amp)
 
 
-def ground_probability(state: PureState, spec: Spectrum,
-                       degeneracy_tol: float = DEGENERACY_TOL) -> tuple[float, float]:
+def ground_probability(state: PureState, spec: Spectrum) -> tuple[float, float]:
     """(p1, p_ground): population of the lowest level and of the whole
     ground eigenspace (they differ only for degenerate ground states)."""
     _check_dims(state, spec)
     probs = np.abs(state.amplitudes) ** 2
     ev = spec.eigenvalues
-    ground_mask = ev <= ev[0] + degeneracy_tol
+    ground_mask = ev <= ev[0] + DEGENERACY_TOL
     return float(probs[0]), float(probs[ground_mask].sum())
 
 
@@ -175,12 +174,11 @@ def t_c_bounds(dim: int, gap: float, span: float, c: float,
     return log_term / span, log_term / gap
 
 
-def find_steps_for_p1(phi0: PureState, spec: Spectrum, target: float, dt_grid: float,
-                      ground_subspace: bool = False) -> int:
+def find_steps_for_p1(phi0: PureState, spec: Spectrum, target: float, dt_grid: float) -> int:
     """Smallest step count m with P1(m*dt_grid) >= target (bisection on m).
 
-    P1 is the lowest-level population, or the ground-subspace one with
-    ground_subspace.  It is monotone along the flow for the spectra used
+    P1 is the ground-subspace population (the lowest-level one for a
+    nondegenerate ground).  It is monotone along the flow for the spectra used
     here, so bisection returns the same m as a linear scan.
     """
     if dt_grid <= 0:
@@ -188,20 +186,15 @@ def find_steps_for_p1(phi0: PureState, spec: Spectrum, target: float, dt_grid: f
     lf = level_flow(phi0, spec)
 
     def prob(m: int) -> float:
-        pop = lf.populations([m * dt_grid])[0]
-        if ground_subspace:
-            return float(pop[:lf.n_ground].sum())
-        return float(pop[0] * lf.first_share)
+        return float(lf.populations([m * dt_grid])[0][:lf.n_ground].sum())
 
     if prob(0) >= target:
         return 0
-    # asymptotic population: the flow projects onto the ground eigenspace
-    ground_weight = float(lf.weights[:lf.n_ground].sum())
-    if ground_weight == 0.0:
+    # the flow projects onto the ground eigenspace, whose population tends to 1
+    if float(lf.weights[:lf.n_ground].sum()) == 0.0:
         raise ValueError("target unreachable: no ground-subspace overlap")
-    limit = 1.0 if ground_subspace else abs(phi0.amplitudes[0]) ** 2 / ground_weight
-    if target >= limit:
-        raise ValueError(f"target unreachable: asymptotic population is {limit}")
+    if target >= 1.0:
+        raise ValueError("target unreachable: asymptotic population is 1.0")
     hi = 1
     while prob(hi) < target:
         hi *= 2

@@ -101,11 +101,11 @@ def double(spec: Spectrum) -> Spectrum:
     return Spectrum(np.sort(diffs), label=label)
 
 
-def spectral_stats(spec: Spectrum, degeneracy_tol: float = DEGENERACY_TOL) -> SpectralStats:
+def spectral_stats(spec: Spectrum) -> SpectralStats:
     ev = spec.eigenvalues
     ground = float(ev[0])
     top = float(ev[-1])
-    j_deg = int(np.count_nonzero(ev <= ground + degeneracy_tol))
+    j_deg = int(np.count_nonzero(ev <= ground + DEGENERACY_TOL))
     if j_deg >= spec.dim:
         raise ValueError("constant spectrum: gap undefined")
     gap = float(ev[j_deg] - ground)

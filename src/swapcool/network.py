@@ -32,6 +32,7 @@ from .quantum import DensityOperator, PureState, _check_dims
 from .flow import find_steps_for_p1, flow_exact, level_flow
 
 EXACT_ORACLE_JOINT_CAP = 1024
+EXACT_ORACLE_ENERGY_TOL = 1e-10
 PREDICT_DIM_CAP = 64
 
 
@@ -163,9 +164,6 @@ class CoefficientMatrix:
     def n_systems(self) -> int:
         return int(self.k.shape[0])
 
-    def column_times(self) -> np.ndarray:
-        return np.arange(-self.m, self.m + 1)
-
     def row(self, j: int) -> np.ndarray:
         """Row of 1-based system j."""
         return self.k[j - 1]
@@ -183,27 +181,19 @@ def propagate_coefficients(sched: Schedule) -> CoefficientMatrix:
     return CoefficientMatrix(sched.m, k)
 
 
-def rescale_row(base: CoefficientMatrix, m: int, j: int | None = None) -> np.ndarray:
-    """Generate row j of K^(2m) from a base matrix via the scaling law.
+def rescale_row(base: CoefficientMatrix, m: int) -> np.ndarray:
+    """Generate the terminal row j = 2m of K^(2m) from a base matrix via the
+    scaling law.
 
-    K^(2m)[j, k'] ~ L * K^(2m0)[j/L scaled row, k'/L] with L = m/m0, linearly
+    K^(2m)[2m, k'] ~ L * K^(2m0)[2m0, k'/L] with L = m/m0, linearly
     interpolated in the deviation-time coordinate k' (zero outside the base
-    range).  Defaults to the terminal row j = 2m, which maps onto the base
-    terminal row for every L.
+    range); the terminal row maps onto the base terminal row for every L.
     """
     m0 = base.m
     lam = m / m0
-    if j is None:
-        base_row = base.k[-1]
-    else:
-        pos = (j * m0) / m
-        idx = int(round(pos))
-        if not 1 <= idx <= base.n_systems:
-            raise ValueError("row index out of range after rescaling")
-        base_row = base.k[idx - 1]
     kp = np.arange(-m, m + 1, dtype=float)
     return lam * np.interp(kp / lam, np.arange(-m0, m0 + 1, dtype=float),
-                           base_row, left=0.0, right=0.0)
+                           base.k[-1], left=0.0, right=0.0)
 
 
 @dataclass(frozen=True)
@@ -226,33 +216,23 @@ class ScalingReport:
         }
 
 
-def _scaling_deviations(k_small: CoefficientMatrix, k_large: CoefficientMatrix,
-                        lam: int, rows, cols=None, floor_frac: float = 1e-3):
-    """Per-entry relative deviations for the selected 1-based small rows and
-    deviation-time columns k' (all 2m+1 by default).
+def scaling_cut_positions(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The eight standard cuts of a 2m-row coefficient matrix: four 1-based
+    rows and four deviation-time columns k', at quarter positions."""
+    return (m // 2, m, 3 * m // 2, 2 * m), (-m // 2, 0, m // 2, m - 1)
 
-    Columns are matched in deviation-time coordinates (k' -> lam*k'), the
-    alignment that anchors both matrices at k' = 0.  Entries where both sides
-    are at most floor_frac of the small row's peak are skipped.
+
+def rescaled_frame(k_large: CoefficientMatrix, m: int) -> np.ndarray:
+    """K^(2 lam m) read in the frame of a matrix with this m, lam = k_large.m // m.
+
+    Entry (j, k') is K^(2 lam m)[lam j, lam k'] / lam for 1-based rows j = 1..2m
+    and columns k' = -m..m.  Since lam m <= k_large.m, every lam j and lam k'
+    lies inside k_large.
     """
-    ms, ml = k_small.m, k_large.m
-    if cols is None:
-        cols = range(-ms, ms + 1)
-    devs = []
-    for j in rows:
-        small_row = k_small.k[j - 1]
-        big_row = k_large.k[lam * j - 1]
-        floor = floor_frac * small_row.max()
-        for kp in cols:
-            big_kp = lam * kp
-            if abs(big_kp) > ml:
-                continue
-            a = small_row[kp + ms]
-            b = big_row[big_kp + ml] / lam
-            if max(a, b) <= floor:
-                continue
-            devs.append(abs(a - b) / max(abs(a), abs(b)))
-    return np.asarray(devs)
+    lam = k_large.m // m
+    rows = lam * np.arange(1, 2 * m + 1) - 1
+    cols = lam * np.arange(-m, m + 1) + k_large.m
+    return k_large.k[np.ix_(rows, cols)] / lam
 
 
 def _cut_summary(axis: str, position: int, d: np.ndarray) -> dict:
@@ -265,18 +245,25 @@ def _cut_summary(axis: str, position: int, d: np.ndarray) -> dict:
 def check_scaling_law(k_small: CoefficientMatrix, k_large: CoefficientMatrix,
                       lam: int) -> ScalingReport:
     """Compare K^(2m) with lam^{-1} K^(2*lam*m) on the eight standard cuts
-    (four rows and four columns at quarter positions) plus globally."""
+    (four rows and four columns at quarter positions) plus globally.
+
+    Columns are matched in deviation-time coordinates (k' -> lam*k'), the
+    alignment that anchors both matrices at k' = 0.  Each entry's deviation
+    is |a - b| / max(|a|, |b|); entries where both sides are at most 1e-3 of
+    the small row's peak are skipped.
+    """
     if k_large.m != lam * k_small.m:
         raise ValueError("need k_large.m == lam * k_small.m")
     ms, ml = k_small.m, k_large.m
-    all_rows = np.arange(1, 2 * ms + 1)
-    cuts = [_cut_summary("row", j, _scaling_deviations(k_small, k_large, lam, [j]))
-            for j in (ms // 2, ms, 3 * ms // 2, 2 * ms)]
-    # column cuts at quarter positions of the deviation-time axis
-    cuts += [_cut_summary("column", kp,
-                          _scaling_deviations(k_small, k_large, lam, all_rows, [kp]))
-             for kp in (-ms // 2, 0, ms // 2, ms - 1)]
-    d_all = _scaling_deviations(k_small, k_large, lam, all_rows)
+    a = k_small.k
+    b = rescaled_frame(k_large, ms)
+    keep = np.maximum(a, b) > 1e-3 * a.max(axis=1, keepdims=True)
+    dev = np.zeros_like(a)
+    dev[keep] = np.abs(a - b)[keep] / np.maximum(np.abs(a), np.abs(b))[keep]
+    rows, columns = scaling_cut_positions(ms)
+    cuts = [_cut_summary("row", j, dev[j - 1][keep[j - 1]]) for j in rows]
+    cuts += [_cut_summary("column", kp, dev[:, kp + ms][keep[:, kp + ms]]) for kp in columns]
+    d_all = dev[keep]
     return ScalingReport(ms, ml, lam, cuts,
                          float(np.median(d_all)) if d_all.size else 0.0,
                          float(d_all.max()) if d_all.size else 0.0, int(d_all.size))
@@ -344,7 +331,7 @@ def m_alpha(spec: Spectrum, phi0: PureState, dt: float, alpha: int) -> int:
     if spec.dim < 8:
         raise ValueError("target schedule is defined for dim >= 8")
     target = 0.5 * (np.log2(8) / np.log2(spec.dim)) ** alpha
-    return find_steps_for_p1(phi0, spec, target, dt, ground_subspace=True)
+    return find_steps_for_p1(phi0, spec, target, dt)
 
 
 def predict_reduced_state(sched: Schedule, j: int, kmat: CoefficientMatrix,
@@ -371,16 +358,16 @@ def predict_reduced_state(sched: Schedule, j: int, kmat: CoefficientMatrix,
 # --- exact joint-space oracle -------------------------------------------------
 
 def simulate_network_exact(sched: Schedule, spec: Spectrum, phi0: PureState,
-                           dt: float, energy_tol: float = 1e-10,
-                           return_energy_trace: bool = False):
+                           dt: float, return_energy_trace: bool = False):
     """Propagate the full joint density matrix through a schedule.
 
     Correlations between systems are kept exactly; a fresh replacement traces
     the pair out (discarding its correlations) and tensors in new copies of
-    the initial state.  Total energy is asserted invariant across every
-    protocol application (it only jumps at fresh replacements).  Toy scale
-    only: dim^n_systems is capped at 1024.  With return_energy_trace the
-    per-event totals and the replaced members' energies come back as well.
+    the initial state.  Total energy is asserted invariant, to
+    EXACT_ORACLE_ENERGY_TOL, across every protocol application (it only jumps
+    at fresh replacements).  Toy scale only: dim^n_systems is capped at 1024.
+    With return_energy_trace the per-event totals and the replaced members'
+    energies come back as well.
 
     rho is held as a 2n-axis tensor: axis f is system f's row index and axis
     n + f its column index, so a pair unitary contracts two axes on each side
@@ -432,9 +419,10 @@ def simulate_network_exact(sched: Schedule, spec: Spectrum, phi0: PureState,
         energies = member_energies(rho)
         record["total_after"] = sum(energies)
         drift = record["total_after"] - record["total_after_fresh"]
-        if abs(drift) > energy_tol:
+        if abs(drift) > EXACT_ORACLE_ENERGY_TOL:
             raise AssertionError(f"step {step}, pair ({lo}, {hi}): total energy drifted "
-                                 f"by {drift:.3e}, above energy_tol {energy_tol:.3e}")
+                                 f"by {drift:.3e}, above energy_tol "
+                                 f"{EXACT_ORACLE_ENERGY_TOL:.3e}")
         trace.append(record)
     reduced = [DensityOperator(reduced_state(rho, f)) for f in rows]
     if return_energy_trace:

@@ -61,12 +61,6 @@ class DeviationTerm:
         gp = self.gamma[:, None] * p + p * self.gamma[None, :]
         return gp - 2.0 * self.gamma_mean * p
 
-    def expectation(self, psi: PureState) -> float:
-        """<psi| D |psi> via two O(dim) contractions."""
-        ov = np.vdot(self.state.amplitudes, psi.amplitudes)
-        gv = np.vdot(psi.amplitudes, self.gamma * self.state.amplitudes)
-        return float(2.0 * np.real(gv * ov) - 2.0 * self.gamma_mean * abs(ov) ** 2)
-
 
 def deviation_term(spec: Spectrum, phi: PureState) -> DeviationTerm:
     _check_dims(phi, spec)

@@ -108,17 +108,6 @@ class LowRankDensity:
     def dim(self) -> int:
         return self.basis[0].dim
 
-    def trace(self) -> float:
-        g = np.array([[v.overlap(u) for u in self.basis] for v in self.basis])
-        # tr sum c_pq |v_p><v_q| = sum_pq c_pq <v_q|v_p>
-        return float(np.real(np.sum(self.coeff * g.T)))
-
-    def energy(self, spec: Spectrum) -> float:
-        ev = spec.eigenvalues
-        h = np.array([[np.vdot(v.amplitudes, ev * u.amplitudes) for u in self.basis]
-                      for v in self.basis])
-        return float(np.real(np.sum(self.coeff * h.T)))
-
     def to_dense(self) -> DensityOperator:
         mat = np.zeros((self.dim, self.dim), dtype=complex)
         for p, vp in enumerate(self.basis):
@@ -194,7 +183,7 @@ def partial_trace(joint: DensityOperator, side: str) -> DensityOperator:
     return DensityOperator(red)
 
 
-def eigendecompose(hermitian: np.ndarray, tol: float = 1e-10) -> tuple[Spectrum, np.ndarray]:
+def eigendecompose(hermitian: np.ndarray) -> tuple[Spectrum, np.ndarray]:
     """Sorted eigenvalues and the unitary whose columns are the eigenvectors.
 
     Amplitudes transform into the eigenbasis via U^dagger v.
@@ -202,7 +191,7 @@ def eigendecompose(hermitian: np.ndarray, tol: float = 1e-10) -> tuple[Spectrum,
     mat = np.asarray(hermitian, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
-    if np.abs(mat - mat.conj().T).max() > tol:
+    if np.abs(mat - mat.conj().T).max() > 1e-10:
         raise ValueError("matrix is not Hermitian")
     ev, u = np.linalg.eigh(mat)
     return Spectrum(ev, label="eigendecomposed"), u

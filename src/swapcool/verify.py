@@ -122,8 +122,8 @@ def check_energy_conservation(seed: int = 0, trials: int = 400) -> CheckResult:
         worst = max(worst, abs(dense.e_a + dense.e_b - 2.0 * dense.e0))
     sched = build_improved_schedule(2)
     spec = Spectrum(np.array([-1.0, 0.0, 1.0]), label="toy")
+    # raises on a pair drift above EXACT_ORACLE_ENERGY_TOL (= CONSERVATION_TOL)
     _, trace = simulate_network_exact(sched, spec, uniform_state(3), 0.05,
-                                      energy_tol=CONSERVATION_TOL,   # raises on violation
                                       return_energy_trace=True)
     drift = max(abs(r["total_after"] - r["total_after_fresh"]) for r in trace)
     return CheckResult("energy_conservation", worst <= CONSERVATION_TOL,
@@ -292,8 +292,7 @@ def check_t_c_window(dims=ACCEPT_DIMS) -> CheckResult:
             for c in (0.5, 0.9):
                 t_lo, t_hi = t_c_bounds(dim, stats.gap, stats.span, c,
                                         stats.ground_degeneracy)
-                crossing = grid * find_steps_for_p1(phi, spec, c, grid,
-                                                    ground_subspace=True)
+                crossing = grid * find_steps_for_p1(phi, spec, c, grid)
                 excess = max(t_lo - crossing, crossing - t_hi) - grid
                 if excess > worst_excess:
                     worst_excess, worst_case = excess, f"{kind}/{dim}/c={c}"

@@ -1,10 +1,11 @@
+import argparse
 import json
 import os
 
 import numpy as np
 import pytest
 
-from swapcool.cli import main, parse_dims
+from swapcool.cli import COMMANDS, CONFIG_KEYS, SETTINGS, build_parser, main, parse_dims
 
 
 def read(path):
@@ -174,6 +175,52 @@ def test_config_file_unknown_key_exit_2(tmp_path, capsys, line, key):
     assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
     assert f"unknown config key(s) in {cfg}: {key}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_config_file_keys_of_other_commands_are_accepted(tmp_path):
+    # one file drives the pipeline: spectrum ignores the m_list and alphas it does not read
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model=a\ndims=4\nm_list=3\nalphas=1,2\n")
+    out = str(tmp_path / "o")
+    assert main(["spectrum", "--config", str(cfg), "--out", out]) == 0
+    assert manifest_of(out)["config"] == {"command": "spectrum", "model": ["a"], "dims": [4],
+                                          "delta": 1.0, "double": False, "out": out}
+    assert main(["coeffs", "--config", str(cfg), "--out", out]) == 0
+    assert manifest_of(out)["config"] == {"command": "coeffs", "m_list": [3], "out": out}
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--model", "a"],
+    ["schedule", "--dt", "0.1"],
+    ["verify", "--dims", "8"],
+    ["spectrum", "--seed", "1"],
+    ["flow", "--seed", "1"],
+], ids=["coeffs-model", "schedule-dt", "verify-dims", "spectrum-seed", "flow-seed"])
+def test_flag_the_command_does_not_read_exit_2(tmp_path, argv):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_each_subcommand_accepts_only_its_settings():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    own_flags = {"schedule": {"--tournament"}, "xi": {"--k-base"}, "verify": {"--full"}}
+    assert set(subparsers) == set(COMMANDS)
+    read_somewhere = set()
+    n_options = 0
+    for name, sub in subparsers.items():
+        options = {opt for action in sub._actions for opt in action.option_strings}
+        options -= {"-h", "--help"}
+        flags = {SETTINGS[key].flag for key in COMMANDS[name].settings}
+        assert options == {"--config", "--out"} | flags | own_flags.get(name, set()), name
+        read_somewhere |= set(COMMANDS[name].settings)
+        n_options += len(options)
+    assert CONFIG_KEYS == read_somewhere
+    assert n_options == 42
 
 
 def test_manifest_lists_hashes(tmp_path):

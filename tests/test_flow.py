@@ -230,16 +230,15 @@ def test_find_time_within_logistic_window():
         phi = uniform_state(32)
         grid = 0.01
         for c in (0.5, 0.9):
-            t = grid * find_steps_for_p1(phi, spec, c, grid, ground_subspace=True)
+            t = grid * find_steps_for_p1(phi, spec, c, grid)
             lo, hi = t_c_bounds(32, stats.gap, stats.span, c, stats.ground_degeneracy)
             assert lo - grid <= t <= hi + grid
 
 
 def test_find_time_unreachable_raises():
     spec = build_model("d", 16, 1.0)
-    phi = uniform_state(16)
     with pytest.raises(ValueError):
-        find_steps_for_p1(phi, spec, 0.5, 0.01)    # p1 saturates at 1/3
+        find_steps_for_p1(uniform_state(16), spec, 1.0, 0.01)    # the population only tends to 1
     with pytest.raises(ValueError):
         find_steps_for_p1(basis_state(16, 8), spec, 0.5, 0.01)   # no ground overlap
 

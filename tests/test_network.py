@@ -18,6 +18,7 @@ from swapcool.network import (
     predict_reduced_state,
     propagate_coefficients,
     rescale_row,
+    rescaled_frame,
     schedule_from_json,
     schedule_to_json,
     simulate_network_exact,
@@ -184,6 +185,48 @@ def test_scaling_law_eight_cuts_reported():
     assert len(report.cuts) == 8
     axes = {c["axis"] for c in report.cuts}
     assert axes == {"row", "column"}
+
+
+def _entrywise_deviations(k_small, k_large, lam, rows, cols):
+    """Per-entry loop over the scaling law, the reference for the array form."""
+    ms, ml = k_small.m, k_large.m
+    devs = []
+    for j in rows:
+        floor = 1e-3 * k_small.k[j - 1].max()
+        for kp in cols:
+            if abs(lam * kp) > ml:
+                continue
+            a = k_small.k[j - 1][kp + ms]
+            b = k_large.k[lam * j - 1][lam * kp + ml] / lam
+            if max(a, b) > floor:
+                devs.append(abs(a - b) / max(abs(a), abs(b)))
+    return np.asarray(devs)
+
+
+@pytest.mark.parametrize("m_small,m_large", [(1, 2), (4, 12), (8, 16), (3, 9)])
+def test_scaling_law_matches_entrywise_loop(m_small, m_large):
+    k_small = propagate_coefficients(build_improved_schedule(m_small))
+    k_large = propagate_coefficients(build_improved_schedule(m_large))
+    lam = m_large // m_small
+    frame = rescaled_frame(k_large, m_small)
+    for j in range(1, 2 * m_small + 1):
+        for kp in range(-m_small, m_small + 1):
+            assert frame[j - 1, kp + m_small] == k_large.k[lam * j - 1][lam * kp + m_large] / lam
+    report = check_scaling_law(k_small, k_large, lam)
+    ms = m_small
+    all_rows, all_cols = range(1, 2 * ms + 1), range(-ms, ms + 1)
+    expect = [_entrywise_deviations(k_small, k_large, lam, [j], all_cols)
+              for j in (ms // 2, ms, 3 * ms // 2, 2 * ms)]
+    expect += [_entrywise_deviations(k_small, k_large, lam, all_rows, [kp])
+               for kp in (-ms // 2, 0, ms // 2, ms - 1)]
+    for cut, d in zip(report.cuts, expect):
+        assert cut["count"] == d.size
+        assert cut["median"] == (float(np.median(d)) if d.size else 0.0)
+        assert cut["max"] == (float(d.max()) if d.size else 0.0)
+    d_all = _entrywise_deviations(k_small, k_large, lam, all_rows, all_cols)
+    assert report.n_compared == d_all.size
+    assert report.global_median == float(np.median(d_all))
+    assert report.global_max == float(d_all.max())
 
 
 def test_rescale_row_identity():

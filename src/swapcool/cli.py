@@ -27,6 +27,7 @@ from .experiments import RunManifest, StageTimer, write_atomic, write_manifest
 from .network import (
     build_improved_schedule,
     build_tournament_schedule,
+    check_tournament_n,
     coefficients_from_json,
     coefficients_to_json,
     schedule_to_json,
@@ -209,10 +210,13 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from None
     # probe every (model, dim) combination up front so commands never leave
-    # partial outputs behind on invalid input
+    # partial outputs behind on invalid input; flow's default t_max also needs
+    # target_c inside the t_c window of the spectrum it runs on
     for kind in getattr(cfg, "model", ()):
         for dim in cfg.dims:
-            build_model(kind, dim, cfg.delta)
+            spec = build_model(kind, dim, cfg.delta)
+            if "target_c" in command.settings and cfg.t_max is None:
+                experiments.default_t_max(double(spec) if cfg.double else spec, cfg.target_c)
     return cfg
 
 
@@ -269,17 +273,19 @@ def cmd_protocol(cfg: argparse.Namespace) -> int:
 
 
 def cmd_schedule(cfg: argparse.Namespace, tournament: int | None) -> int:
+    if tournament is not None:
+        check_tournament_n(tournament)
     manifest = _new_manifest(cfg, "schedule")
     with StageTimer(manifest, "schedules"):
         for m in cfg.m_list:
             sched = build_improved_schedule(m)
             sched.validate()
             write_atomic(os.path.join(cfg.out, f"schedule_m{m}.json"),
-                         json.dumps(schedule_to_json(sched)) + "\n", manifest)
+                         schedule_to_json(sched) + "\n", manifest)
         if tournament is not None:
             sched = build_tournament_schedule(tournament)
             write_atomic(os.path.join(cfg.out, f"schedule_tournament_n{tournament}.json"),
-                         json.dumps(schedule_to_json(sched)) + "\n", manifest)
+                         schedule_to_json(sched) + "\n", manifest)
     write_manifest(cfg.out, manifest)
     return EXIT_OK
 

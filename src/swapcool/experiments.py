@@ -46,17 +46,23 @@ def resolve_dt(spec: Spectrum, dt: float | None) -> float:
 
 # --- flow dataset -------------------------------------------------------------
 
+def default_t_max(spec: Spectrum, target_c: float) -> float:
+    """Twice the upper end of the t_c window of target_c; ValueError when
+    target_c lies outside [ground population of the uniform start, 1)."""
+    stats = spectral_stats(spec)
+    _, upper = t_c_bounds(spec.dim, stats.gap, stats.span, target_c,
+                          stats.ground_degeneracy)
+    return 2.0 * upper
+
+
 def flow_csv(kind: str, dim: int, delta: float, dt: float | None = None,
              t_max: float | None = None, target_c: float = 0.99,
              use_double: bool = False) -> str:
     """One trajectory CSV on a uniform time grid reaching past t_c(target_c)."""
     spec = make_spectrum(kind, dim, delta, use_double)
-    stats = spectral_stats(spec)
     step = resolve_dt(spec, dt)
     if t_max is None:
-        _, upper = t_c_bounds(spec.dim, stats.gap, stats.span, target_c,
-                              stats.ground_degeneracy)
-        t_max = 2.0 * upper
+        t_max = default_t_max(spec, target_c)
     n_steps = int(np.ceil(t_max / step))
     times = step * np.arange(n_steps + 1)
     phi0 = uniform_state(spec.dim)

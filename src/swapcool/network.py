@@ -21,6 +21,7 @@ whole network step at a time in :mod:`swapcool.kernels`.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ from .flow import find_steps_for_p1, flow_exact, level_flow
 EXACT_ORACLE_JOINT_CAP = 1024
 EXACT_ORACLE_ENERGY_TOL = 1e-10
 PREDICT_DIM_CAP = 64
+TOURNAMENT_MAX_N = 20   # 2^20 systems, about a million pair events (as at m=128)
 
 
 @dataclass(frozen=True)
@@ -125,11 +127,15 @@ def improved_schedule_stats(m: int) -> tuple[int, np.ndarray]:
     return int(step_star), terminal
 
 
+def check_tournament_n(n: int) -> None:
+    if not 1 <= n <= TOURNAMENT_MAX_N:
+        raise ValueError(f"tournament n must lie in [1, {TOURNAMENT_MAX_N}], got {n}")
+
+
 def build_tournament_schedule(n: int) -> Schedule:
     """2^n systems; stage s pairs the surviving forward branches at tau = s,
     the higher index of each pair advancing.  No fresh replacements."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_tournament_n(n)
     n_systems = 2 ** n
     survivors = list(range(n_systems))
     es, el, eh, et = [], [], [], []
@@ -432,22 +438,19 @@ def simulate_network_exact(sched: Schedule, spec: Spectrum, phi0: PureState,
 
 # --- serialization -----------------------------------------------------------
 
-def schedule_to_json(sched: Schedule) -> dict:
-    """The pair events, step* and the terminal profile.  The tau of every
-    system at every step follows from replaying the pairs in order (lower
-    member -1, higher +1), as Schedule.validate does."""
-    return {
-        "kind": sched.kind,
-        "m": sched.m,
-        "n_systems": sched.n_systems,
-        "step_star": sched.step_star,
-        "pairs": [
-            {"step": int(s), "pair": [int(a), int(b)], "tau": int(t), "fresh": bool(f)}
-            for s, a, b, t, f in zip(sched.step, sched.lo, sched.hi,
-                                     sched.tau_common, sched.fresh)
-        ],
-        "terminal_tau": [int(x) for x in sched.terminal_tau],
-    }
+def schedule_to_json(sched: Schedule) -> str:
+    """The pair events, step* and the terminal profile as JSON text, written
+    from the event columns with json.dumps's default separators.  The tau of
+    every system at every step follows from replaying the pairs in order
+    (lower member -1, higher +1), as Schedule.validate does."""
+    head = json.dumps({"kind": sched.kind, "m": sched.m, "n_systems": sched.n_systems,
+                       "step_star": sched.step_star})
+    pairs = ", ".join([
+        f'{{"step": {s}, "pair": [{a}, {b}], "tau": {t}, "fresh": {"true" if f else "false"}}}'
+        for s, a, b, t, f in zip(sched.step.tolist(), sched.lo.tolist(), sched.hi.tolist(),
+                                 sched.tau_common.tolist(), sched.fresh.tolist())])
+    terminal = json.dumps(sched.terminal_tau.tolist())
+    return f'{head[:-1]}, "pairs": [{pairs}], "terminal_tau": {terminal}}}'
 
 
 def schedule_from_json(obj: dict) -> Schedule:

@@ -88,6 +88,24 @@ def test_invalid_model_dim_combo_exit_2_no_files(tmp_path):
     assert not os.path.exists(out)
 
 
+def test_flow_target_c_outside_t_c_window_exit_2_no_files(tmp_path):
+    # dim 16 admits target_c = 0.1, but dim 8 starts at ground population 1/8
+    out = str(tmp_path / "d")
+    assert main(["flow", "--model", "a", "--dims", "16,8", "--target-c", "0.1",
+                 "--out", out]) == 2
+    assert not os.path.exists(out)
+
+
+def test_flow_target_c_checked_on_doubled_spectrum(tmp_path):
+    # doubled model a at dim 8 starts at ground population 7/64 (1/8 undoubled)
+    out = str(tmp_path / "d")
+    argv = ["flow", "--model", "a", "--dims", "8", "--double", "--out", out]
+    assert main(argv + ["--target-c", "0.1"]) == 2
+    assert not os.path.exists(out)
+    assert main(argv + ["--target-c", "0.12"]) == 0
+    assert sorted(os.listdir(out)) == ["flow_a_dim8_doubled.csv", "manifest.json"]
+
+
 def test_protocol_command(tmp_path):
     out = str(tmp_path / "o")
     assert main(["protocol", "--model", "a", "--dims", "8", "--dt", "0.1",
@@ -107,6 +125,17 @@ def test_schedule_command(tmp_path):
     assert "tau" not in sched
     tourn = json.loads(read(os.path.join(out, "schedule_tournament_n3.json")))
     assert tourn["n_systems"] == 8
+
+
+@pytest.mark.parametrize("n", ["0", "21"])
+def test_schedule_tournament_out_of_range_exit_2_no_files(tmp_path, monkeypatch, n):
+    def refuse(n):
+        raise AssertionError("the tournament size is checked before any build")
+
+    monkeypatch.setattr("swapcool.cli.build_tournament_schedule", refuse)
+    out = str(tmp_path / "o")
+    assert main(["schedule", "--m", "1", "--tournament", n, "--out", out]) == 2
+    assert not os.path.exists(out)
 
 
 def test_coeffs_command(tmp_path):

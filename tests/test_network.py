@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from swapcool.hamiltonian import Spectrum, build_model
 from swapcool.network import (
+    TOURNAMENT_MAX_N,
     Schedule,
     build_improved_schedule,
     build_tournament_schedule,
@@ -493,9 +495,46 @@ def test_exact_network_matches_kron_reference(kind, size, dim):
         assert max(np.abs(r.matrix - w).max() for r, w in zip(reduced, swapped)) > 1e-3
 
 
+def _dict_per_pair_reference(sched):
+    """The schedule JSON object as the writer once built it, one dict per pair."""
+    return {
+        "kind": sched.kind,
+        "m": sched.m,
+        "n_systems": sched.n_systems,
+        "step_star": sched.step_star,
+        "pairs": [
+            {"step": int(s), "pair": [int(a), int(b)], "tau": int(t), "fresh": bool(f)}
+            for s, a, b, t, f in zip(sched.step, sched.lo, sched.hi,
+                                     sched.tau_common, sched.fresh)
+        ],
+        "terminal_tau": [int(x) for x in sched.terminal_tau],
+    }
+
+
+@pytest.mark.parametrize("sched", [build_improved_schedule(m) for m in (1, 2, 3, 7, 33)]
+                         + [build_tournament_schedule(n) for n in range(1, 6)],
+                         ids=[f"improved_m{m}" for m in (1, 2, 3, 7, 33)]
+                         + [f"tournament_n{n}" for n in range(1, 6)])
+def test_schedule_json_bytes_match_dict_dump(sched):
+    got, want = schedule_to_json(sched), json.dumps(_dict_per_pair_reference(sched))
+    # report the first difference; a full diff of texts this long takes minutes
+    at = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y),
+              min(len(got), len(want)))
+    window = slice(max(at - 30, 0), at + 30)
+    same = got == want
+    assert same, f"first difference at char {at}: {got[window]!r} != {want[window]!r}"
+
+
+def test_tournament_size_bound():
+    with pytest.raises(ValueError):
+        build_tournament_schedule(0)
+    with pytest.raises(ValueError):
+        build_tournament_schedule(TOURNAMENT_MAX_N + 1)
+
+
 def test_schedule_json_round_trip():
     sched = build_improved_schedule(3)
-    payload = schedule_to_json(sched)
+    payload = json.loads(schedule_to_json(sched))
     assert "tau" not in payload
     back = schedule_from_json(payload)
     assert events_of(back) == events_of(sched)

@@ -25,6 +25,7 @@ from .hamiltonian import (
 )
 from .experiments import RunManifest, StageTimer, write_atomic, write_manifest
 from .network import (
+    Schedule,
     build_improved_schedule,
     build_tournament_schedule,
     check_tournament_n,
@@ -272,6 +273,12 @@ def cmd_protocol(cfg: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _write_schedule(path: str, sched: Schedule, manifest: RunManifest) -> None:
+    text = schedule_to_json(sched)
+    text += b"\n"      # in place: the file exists in memory once
+    write_atomic(path, text, manifest)
+
+
 def cmd_schedule(cfg: argparse.Namespace, tournament: int | None) -> int:
     if tournament is not None:
         check_tournament_n(tournament)
@@ -280,12 +287,10 @@ def cmd_schedule(cfg: argparse.Namespace, tournament: int | None) -> int:
         for m in cfg.m_list:
             sched = build_improved_schedule(m)
             sched.validate()
-            write_atomic(os.path.join(cfg.out, f"schedule_m{m}.json"),
-                         schedule_to_json(sched) + "\n", manifest)
+            _write_schedule(os.path.join(cfg.out, f"schedule_m{m}.json"), sched, manifest)
         if tournament is not None:
-            sched = build_tournament_schedule(tournament)
-            write_atomic(os.path.join(cfg.out, f"schedule_tournament_n{tournament}.json"),
-                         schedule_to_json(sched) + "\n", manifest)
+            _write_schedule(os.path.join(cfg.out, f"schedule_tournament_n{tournament}.json"),
+                            build_tournament_schedule(tournament), manifest)
     write_manifest(cfg.out, manifest)
     return EXIT_OK
 

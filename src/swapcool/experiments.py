@@ -11,11 +11,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
+import resource
+import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .hamiltonian import Spectrum, build_model, double, min_m_bound, spectral_stats
 from .flow import flow_series, t_c_bounds
 from .network import (
@@ -183,22 +187,36 @@ def base_coefficient_matrix(m: int = XI_BASE_M) -> CoefficientMatrix:
 
 # --- manifest & atomic output ---------------------------------------------------
 
+def run_environment() -> dict:
+    """What a run ran on: interpreter, numpy, core count and kernel backend."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "cpu_count": os.cpu_count(), "kernel_backend": kernels.BACKEND}
+
+
+def peak_rss_mb() -> float:
+    """The process's resident-set high-water mark so far, in MB (ru_maxrss
+    counts KiB on Linux, bytes on macOS)."""
+    unit = 1 if sys.platform == "darwin" else 1024
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit / 1e6
+
+
 @dataclass
 class RunManifest:
     config: dict
     version: str
+    environment: dict = field(default_factory=run_environment)
     stages: list = field(default_factory=list)
     files: list = field(default_factory=list)
 
     def add_stage(self, name: str, seconds: float) -> None:
-        self.stages.append({"name": name, "seconds": seconds})
+        self.stages.append({"name": name, "seconds": seconds, "peak_rss_mb": peak_rss_mb()})
 
     def add_file(self, path: str, content: bytes) -> None:
         self.files.append({"path": path, "sha256": hashlib.sha256(content).hexdigest()})
 
     def to_json(self) -> dict:
         return {"config": self.config, "version": self.version,
-                "stages": self.stages, "files": self.files}
+                "environment": self.environment, "stages": self.stages, "files": self.files}
 
 
 class StageTimer:
@@ -215,7 +233,8 @@ class StageTimer:
         return False
 
 
-def write_atomic(path: str, content: str | bytes, manifest: RunManifest | None = None) -> None:
+def write_atomic(path: str, content: str | bytes | bytearray,
+                 manifest: RunManifest | None = None) -> None:
     data = content.encode() if isinstance(content, str) else content
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)

@@ -100,13 +100,14 @@ def level_flow(phi0: PureState, spec: Spectrum) -> LevelFlow:
     return LevelFlow(levels, weights, n_ground, first_share)
 
 
-def _flow_rhs(amp: np.ndarray, ev: np.ndarray) -> np.ndarray:
-    e = float(np.real(np.vdot(amp, ev * amp)))
-    return -0.5 * (ev - e) * amp
-
-
 def flow_rk4(phi0: PureState, spec: Spectrum, t: float, h: float) -> PureState:
-    """Classical RK4 on the flow ODE, renormalising after every step."""
+    """Classical RK4 on the flow ODE, renormalising after every step.
+
+    The right-hand side -(E_i - <H>) a_i / 2 scales each amplitude by a real
+    factor, so the iterates are phi0's amplitudes times a real vector x, and
+    the stages run on x: dx_i/dt = -(E_i - <H>) x_i / 2 with
+    <H> = sum_i E_i |a_i|^2 x_i^2.  In exact arithmetic these are the RK4
+    iterates of the amplitudes themselves."""
     _check_dims(phi0, spec)
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -114,19 +115,25 @@ def flow_rk4(phi0: PureState, spec: Spectrum, t: float, h: float) -> PureState:
     span = float(ev[-1] - ev[0])
     if h * span > RK4_STEP_CAP:
         raise ValueError(f"step too large: h*span = {h * span} > {RK4_STEP_CAP}")
-    amp = phi0.amplitudes.copy()
+    probs = np.abs(phi0.amplitudes) ** 2
+    weighted = ev * probs
+
+    def rhs(x: np.ndarray) -> np.ndarray:
+        return -0.5 * (ev - float(weighted @ (x * x))) * x
+
+    x = np.ones(ev.size)
     remaining = abs(t)
     direction = 1.0 if t >= 0 else -1.0
     while remaining > 1e-15:
         step = min(h, remaining) * direction
-        k1 = _flow_rhs(amp, ev)
-        k2 = _flow_rhs(amp + 0.5 * step * k1, ev)
-        k3 = _flow_rhs(amp + 0.5 * step * k2, ev)
-        k4 = _flow_rhs(amp + step * k3, ev)
-        amp = amp + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        amp = amp / np.linalg.norm(amp)
+        k1 = rhs(x)
+        k2 = rhs(x + 0.5 * step * k1)
+        k3 = rhs(x + 0.5 * step * k2)
+        k4 = rhs(x + step * k3)
+        x = x + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        x = x / np.sqrt(float(probs @ (x * x)))
         remaining -= abs(step)
-    return PureState(amp)
+    return PureState(phi0.amplitudes * x)
 
 
 def ground_probability(state: PureState, spec: Spectrum) -> tuple[float, float]:
@@ -222,12 +229,10 @@ class FlowResult:
     upper_bound: np.ndarray
 
     def to_csv(self) -> str:
-        header = "t,p1,p_ground,energy,lower_bound,upper_bound"
-        rows = [header]
-        for i in range(len(self.times)):
-            rows.append(",".join(repr(float(v)) for v in (
-                self.times[i], self.p1[i], self.p_ground[i], self.energy[i],
-                self.lower_bound[i], self.upper_bound[i])))
+        rows = ["t,p1,p_ground,energy,lower_bound,upper_bound"]
+        rows += [f"{t!r},{p1!r},{pg!r},{e!r},{lo!r},{hi!r}" for t, p1, pg, e, lo, hi in zip(
+            self.times.tolist(), self.p1.tolist(), self.p_ground.tolist(),
+            self.energy.tolist(), self.lower_bound.tolist(), self.upper_bound.tolist())]
         return "\n".join(rows) + "\n"
 
 

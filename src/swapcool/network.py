@@ -36,6 +36,7 @@ EXACT_ORACLE_JOINT_CAP = 1024
 EXACT_ORACLE_ENERGY_TOL = 1e-10
 PREDICT_DIM_CAP = 64
 TOURNAMENT_MAX_N = 20   # 2^20 systems, about a million pair events (as at m=128)
+JSON_BLOCK_PAIRS = 1 << 15   # pair events encoded per block of the schedule JSON
 
 
 @dataclass(frozen=True)
@@ -438,19 +439,28 @@ def simulate_network_exact(sched: Schedule, spec: Spectrum, phi0: PureState,
 
 # --- serialization -----------------------------------------------------------
 
-def schedule_to_json(sched: Schedule) -> str:
-    """The pair events, step* and the terminal profile as JSON text, written
-    from the event columns with json.dumps's default separators.  The tau of
-    every system at every step follows from replaying the pairs in order
-    (lower member -1, higher +1), as Schedule.validate does."""
+def schedule_to_json(sched: Schedule) -> bytearray:
+    """The pair events, step* and the terminal profile as UTF-8 JSON, written
+    from the event columns with json.dumps's default separators.  The pairs
+    are encoded JSON_BLOCK_PAIRS at a time and appended in place, so the file
+    exists in memory once.  The tau of every system at every step follows
+    from replaying the pairs in order (lower member -1, higher +1), as
+    Schedule.validate does."""
     head = json.dumps({"kind": sched.kind, "m": sched.m, "n_systems": sched.n_systems,
                        "step_star": sched.step_star})
-    pairs = ", ".join([
-        f'{{"step": {s}, "pair": [{a}, {b}], "tau": {t}, "fresh": {"true" if f else "false"}}}'
-        for s, a, b, t, f in zip(sched.step.tolist(), sched.lo.tolist(), sched.hi.tolist(),
-                                 sched.tau_common.tolist(), sched.fresh.tolist())])
-    terminal = json.dumps(sched.terminal_tau.tolist())
-    return f'{head[:-1]}, "pairs": [{pairs}], "terminal_tau": {terminal}}}'
+    out = bytearray(f'{head[:-1]}, "pairs": ['.encode())
+    for start in range(0, sched.n_pairs, JSON_BLOCK_PAIRS):
+        block = slice(start, start + JSON_BLOCK_PAIRS)
+        if start:
+            out += b", "
+        out += ", ".join([
+            f'{{"step": {s}, "pair": [{a}, {b}], "tau": {t}, "fresh": {"true" if f else "false"}}}'
+            for s, a, b, t, f in zip(sched.step[block].tolist(), sched.lo[block].tolist(),
+                                     sched.hi[block].tolist(),
+                                     sched.tau_common[block].tolist(),
+                                     sched.fresh[block].tolist())]).encode()
+    out += f'], "terminal_tau": {json.dumps(sched.terminal_tau.tolist())}}}'.encode()
+    return out
 
 
 def schedule_from_json(obj: dict) -> Schedule:

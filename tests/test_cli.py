@@ -266,6 +266,24 @@ def test_manifest_lists_hashes(tmp_path):
     assert len(man["stages"]) >= 1
 
 
+def test_manifest_records_environment_and_stage_peaks(tmp_path):
+    import platform
+
+    from swapcool import kernels
+
+    out = str(tmp_path / "o")
+    assert main(["schedule", "--m", "2", "--out", out]) == 0
+    man = manifest_of(out)
+    assert man["environment"] == {"python": platform.python_version(),
+                                  "numpy": np.__version__, "cpu_count": os.cpu_count(),
+                                  "kernel_backend": kernels.BACKEND}
+    (stage,) = man["stages"]
+    assert stage["name"] == "schedules"
+    assert stage["seconds"] >= 0
+    # numpy alone takes more than 10 MB of resident memory
+    assert 10 < stage["peak_rss_mb"] < 10_000
+
+
 def test_deterministic_reruns(tmp_path):
     out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
     for out in (out1, out2):

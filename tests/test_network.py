@@ -1,10 +1,14 @@
 import dataclasses
 import itertools
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from swapcool import network as network_mod
+from swapcool.cli import main as cli_main
 from swapcool.hamiltonian import Spectrum, build_model
 from swapcool.network import (
     TOURNAMENT_MAX_N,
@@ -516,13 +520,49 @@ def _dict_per_pair_reference(sched):
                          ids=[f"improved_m{m}" for m in (1, 2, 3, 7, 33)]
                          + [f"tournament_n{n}" for n in range(1, 6)])
 def test_schedule_json_bytes_match_dict_dump(sched):
-    got, want = schedule_to_json(sched), json.dumps(_dict_per_pair_reference(sched))
+    want = json.dumps(_dict_per_pair_reference(sched)).encode()
+    assert_same_bytes(schedule_to_json(sched), want)
+
+
+def assert_same_bytes(got, want):
     # report the first difference; a full diff of texts this long takes minutes
     at = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y),
               min(len(got), len(want)))
     window = slice(max(at - 30, 0), at + 30)
     same = got == want
-    assert same, f"first difference at char {at}: {got[window]!r} != {want[window]!r}"
+    assert same, f"first difference at byte {at}: {bytes(got[window])!r} != {want[window]!r}"
+
+
+@pytest.mark.parametrize("kind,size", [("improved", 7), ("improved", 33), ("tournament", 4)])
+def test_schedule_json_same_bytes_at_every_block_size(kind, size, monkeypatch):
+    sched = (build_improved_schedule(size) if kind == "improved"
+             else build_tournament_schedule(size))
+    want = json.dumps(_dict_per_pair_reference(sched)).encode()
+    for block in (1, 2, 3, sched.n_pairs):
+        monkeypatch.setattr(network_mod, "JSON_BLOCK_PAIRS", block)
+        assert_same_bytes(schedule_to_json(sched), want)
+
+
+def test_schedule_cli_files_match_dict_dump(tmp_path):
+    out = str(tmp_path / "o")
+    assert cli_main(["schedule", "--m", "2", "--tournament", "2", "--out", out]) == 0
+    for name, sched in (("schedule_m2.json", build_improved_schedule(2)),
+                        ("schedule_tournament_n2.json", build_tournament_schedule(2))):
+        with open(os.path.join(out, name), "rb") as fh:
+            assert fh.read() == (json.dumps(_dict_per_pair_reference(sched)) + "\n").encode()
+
+
+def test_schedule_json_holds_one_copy_of_the_text(monkeypatch):
+    # the str writer peaked at 3.2x its output: the pair strings, then their join
+    sched = build_improved_schedule(64)
+    monkeypatch.setattr(network_mod, "JSON_BLOCK_PAIRS", 1 << 10)
+    tracemalloc.start()
+    try:
+        text = schedule_to_json(sched)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * len(text), (peak, len(text))
 
 
 def test_tournament_size_bound():

@@ -120,13 +120,125 @@ SETTINGS = {
 }
 
 
+def _spectrum_name(prefix: str, kind: str, dim: int, doubled: bool) -> str:
+    return f"{prefix}_{kind}_dim{dim}" + ("_doubled" if doubled else "")
+
+
+def cmd_spectrum(cfg: argparse.Namespace, args: argparse.Namespace,
+                 manifest: RunManifest) -> int:
+    for kind in cfg.model:
+        for dim in cfg.dims:
+            spec = build_model(kind, dim, cfg.delta)
+            if cfg.double:
+                spec = double(spec)
+            name = _spectrum_name("spectrum", kind, dim, cfg.double)
+            write_atomic(os.path.join(cfg.out, name + ".txt"), spectrum_to_text(spec), manifest)
+            write_atomic(os.path.join(cfg.out, name + ".json"),
+                         json.dumps(spectrum_to_json(spec)) + "\n", manifest)
+    return EXIT_OK
+
+
+def cmd_flow(cfg: argparse.Namespace, args: argparse.Namespace,
+             manifest: RunManifest) -> int:
+    for kind in cfg.model:
+        for dim in cfg.dims:
+            csv_text = experiments.flow_csv(kind, dim, cfg.delta, cfg.dt, cfg.t_max,
+                                            cfg.target_c, cfg.double)
+            name = _spectrum_name("flow", kind, dim, cfg.double)
+            write_atomic(os.path.join(cfg.out, name + ".csv"), csv_text, manifest)
+    return EXIT_OK
+
+
+def cmd_protocol(cfg: argparse.Namespace, args: argparse.Namespace,
+                 manifest: RunManifest) -> int:
+    for kind in cfg.model:
+        for dim in cfg.dims:
+            spec = experiments.make_spectrum(kind, dim, cfg.delta, cfg.double)
+            dt = experiments.resolve_dt(spec, cfg.dt)
+            payload = protocol_output_to_json(apply_protocol(uniform_state(spec.dim), spec, dt))
+            payload["model"] = kind
+            payload["dim"] = dim
+            name = _spectrum_name("protocol", kind, dim, cfg.double)
+            write_atomic(os.path.join(cfg.out, name + ".json"),
+                         json.dumps(payload) + "\n", manifest)
+    return EXIT_OK
+
+
+def _write_schedule(path: str, sched: Schedule, manifest: RunManifest) -> None:
+    text = schedule_to_json(sched)
+    text += b"\n"      # in place: the file exists in memory once
+    write_atomic(path, text, manifest)
+
+
+def cmd_schedule(cfg: argparse.Namespace, args: argparse.Namespace,
+                 manifest: RunManifest) -> int:
+    if args.tournament is not None:
+        check_tournament_n(args.tournament)
+    for m in cfg.m_list:
+        sched = build_improved_schedule(m)
+        sched.validate()
+        _write_schedule(os.path.join(cfg.out, f"schedule_m{m}.json"), sched, manifest)
+    if args.tournament is not None:
+        _write_schedule(os.path.join(cfg.out, f"schedule_tournament_n{args.tournament}.json"),
+                        build_tournament_schedule(args.tournament), manifest)
+    return EXIT_OK
+
+
+def cmd_coeffs(cfg: argparse.Namespace, args: argparse.Namespace,
+               manifest: RunManifest) -> int:
+    data = experiments.coeffs_dataset(cfg.m_list)
+    for m, kmat in sorted(data.matrices.items()):
+        write_atomic(os.path.join(cfg.out, f"K_m{m}.csv"), kmat.to_csv(), manifest)
+        write_atomic(os.path.join(cfg.out, f"K_m{m}.json"),
+                     json.dumps(coefficients_to_json(kmat)) + "\n", manifest)
+    for name, csv_text in sorted(data.cuts.items()):
+        write_atomic(os.path.join(cfg.out, f"{name}.csv"), csv_text, manifest)
+    write_atomic(os.path.join(cfg.out, "step_star.csv"), data.step_star_csv(), manifest)
+    summary = {"reports": [r.to_json() for r in data.reports]}
+    write_atomic(os.path.join(cfg.out, "scaling_summary.json"),
+                 json.dumps(summary, indent=1, sort_keys=True) + "\n", manifest)
+    return EXIT_OK
+
+
+def cmd_xi(cfg: argparse.Namespace, args: argparse.Namespace,
+           manifest: RunManifest) -> int:
+    path = args.k_base or os.path.join(cfg.out, f"K_m{experiments.XI_BASE_M}.json")
+    if not os.path.exists(path):
+        raise ValueError(f"coefficient base {path} not found; run `swapcool coeffs` first")
+    with open(path) as fh:
+        base = coefficients_from_json(json.load(fh))
+    manifest.config["k_base"] = os.path.basename(path)
+    rows = experiments.xi_sweep(cfg.model, cfg.dims, cfg.alphas, base,
+                                cfg.delta, cfg.dt, cfg.double)
+    write_atomic(os.path.join(cfg.out, "xi.csv"), experiments.xi_rows_to_csv(rows), manifest)
+    return EXIT_OK
+
+
+def cmd_verify(cfg: argparse.Namespace, args: argparse.Namespace,
+               manifest: RunManifest) -> int:
+    results = verify.run_verify(seed=cfg.seed, full=args.full)
+    report = verify.report_to_json(results)
+    write_atomic(os.path.join(cfg.out, "verify_report.json"),
+                 json.dumps(report, indent=1, sort_keys=True) + "\n", manifest)
+    for res in results:
+        print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}")
+    if not report["passed"]:
+        failing = [r.name for r in results if not r.passed]
+        print(f"verification failed: {', '.join(failing)}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
+    return EXIT_OK
+
+
 @dataclass(frozen=True)
 class Command:
-    """A subcommand's help line, the settings it reads and its own defaults
-    for some of them."""
+    """A subcommand's help line, the settings it reads, its manifest stage,
+    its handler and its own defaults for some of the settings.  The handler
+    takes (cfg, args, manifest) and returns the exit code."""
 
     help: str
     settings: tuple[str, ...]
+    stage: str
+    run: Callable[[argparse.Namespace, argparse.Namespace, RunManifest], int]
     defaults: dict = field(default_factory=dict)
 
 
@@ -134,14 +246,17 @@ class Command:
 SPECTRA = ("model", "dims", "delta", "double", "out")
 
 COMMANDS = {
-    "spectrum": Command("emit model spectra (text + JSON)", SPECTRA),
+    "spectrum": Command("emit model spectra (text + JSON)", SPECTRA, "spectra", cmd_spectrum),
     "flow": Command("ground-population trajectories with bounds",
-                    SPECTRA + ("dt", "t_max", "target_c")),
-    "protocol": Command("single protocol application as JSON", SPECTRA + ("dt",)),
-    "schedule": Command("pairing schedules as JSON", ("m_list", "out"), {"m_list": "1,2,4"}),
-    "coeffs": Command("coefficient matrices and scaling study", ("m_list", "out")),
-    "xi": Command("network-error diagnostic sweep", SPECTRA + ("dt", "alphas")),
-    "verify": Command("oracle and invariant suites", ("seed", "out")),
+                    SPECTRA + ("dt", "t_max", "target_c"), "flow", cmd_flow),
+    "protocol": Command("single protocol application as JSON", SPECTRA + ("dt",),
+                        "protocol", cmd_protocol),
+    "schedule": Command("pairing schedules as JSON", ("m_list", "out"), "schedules",
+                        cmd_schedule, {"m_list": "1,2,4"}),
+    "coeffs": Command("coefficient matrices and scaling study", ("m_list", "out"),
+                      "coefficients", cmd_coeffs),
+    "xi": Command("network-error diagnostic sweep", SPECTRA + ("dt", "alphas"), "xi", cmd_xi),
+    "verify": Command("oracle and invariant suites", ("seed", "out"), "verify", cmd_verify),
 }
 
 # every key some subcommand reads, so one config file can drive the pipeline
@@ -221,157 +336,22 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     return cfg
 
 
-def _new_manifest(cfg: argparse.Namespace, command: str) -> RunManifest:
-    return RunManifest(config=dict(vars(cfg), command=command), version=__version__)
-
-
-def cmd_spectrum(cfg: argparse.Namespace) -> int:
-    manifest = _new_manifest(cfg, "spectrum")
-    with StageTimer(manifest, "spectra"):
-        for kind in cfg.model:
-            for dim in cfg.dims:
-                spec = build_model(kind, dim, cfg.delta)
-                if cfg.double:
-                    spec = double(spec)
-                name = f"spectrum_{kind}_dim{dim}" + ("_doubled" if cfg.double else "")
-                write_atomic(os.path.join(cfg.out, name + ".txt"),
-                             spectrum_to_text(spec), manifest)
-                write_atomic(os.path.join(cfg.out, name + ".json"),
-                             json.dumps(spectrum_to_json(spec)) + "\n", manifest)
-    write_manifest(cfg.out, manifest)
-    return EXIT_OK
-
-
-def cmd_flow(cfg: argparse.Namespace) -> int:
-    manifest = _new_manifest(cfg, "flow")
-    with StageTimer(manifest, "flow"):
-        for kind in cfg.model:
-            for dim in cfg.dims:
-                csv_text = experiments.flow_csv(kind, dim, cfg.delta, cfg.dt, cfg.t_max,
-                                                cfg.target_c, cfg.double)
-                name = f"flow_{kind}_dim{dim}" + ("_doubled" if cfg.double else "")
-                write_atomic(os.path.join(cfg.out, name + ".csv"), csv_text, manifest)
-    write_manifest(cfg.out, manifest)
-    return EXIT_OK
-
-
-def cmd_protocol(cfg: argparse.Namespace) -> int:
-    manifest = _new_manifest(cfg, "protocol")
-    with StageTimer(manifest, "protocol"):
-        for kind in cfg.model:
-            for dim in cfg.dims:
-                spec = experiments.make_spectrum(kind, dim, cfg.delta, cfg.double)
-                dt = experiments.resolve_dt(spec, cfg.dt)
-                out = apply_protocol(uniform_state(spec.dim), spec, dt)
-                payload = protocol_output_to_json(out)
-                payload["model"] = kind
-                payload["dim"] = dim
-                name = f"protocol_{kind}_dim{dim}" + ("_doubled" if cfg.double else "")
-                write_atomic(os.path.join(cfg.out, name + ".json"),
-                             json.dumps(payload) + "\n", manifest)
-    write_manifest(cfg.out, manifest)
-    return EXIT_OK
-
-
-def _write_schedule(path: str, sched: Schedule, manifest: RunManifest) -> None:
-    text = schedule_to_json(sched)
-    text += b"\n"      # in place: the file exists in memory once
-    write_atomic(path, text, manifest)
-
-
-def cmd_schedule(cfg: argparse.Namespace, tournament: int | None) -> int:
-    if tournament is not None:
-        check_tournament_n(tournament)
-    manifest = _new_manifest(cfg, "schedule")
-    with StageTimer(manifest, "schedules"):
-        for m in cfg.m_list:
-            sched = build_improved_schedule(m)
-            sched.validate()
-            _write_schedule(os.path.join(cfg.out, f"schedule_m{m}.json"), sched, manifest)
-        if tournament is not None:
-            _write_schedule(os.path.join(cfg.out, f"schedule_tournament_n{tournament}.json"),
-                            build_tournament_schedule(tournament), manifest)
-    write_manifest(cfg.out, manifest)
-    return EXIT_OK
-
-
-def cmd_coeffs(cfg: argparse.Namespace) -> int:
-    manifest = _new_manifest(cfg, "coeffs")
-    with StageTimer(manifest, "coefficients"):
-        data = experiments.coeffs_dataset(cfg.m_list)
-        for m, kmat in sorted(data.matrices.items()):
-            write_atomic(os.path.join(cfg.out, f"K_m{m}.csv"), kmat.to_csv(), manifest)
-            write_atomic(os.path.join(cfg.out, f"K_m{m}.json"),
-                         json.dumps(coefficients_to_json(kmat)) + "\n", manifest)
-        for name, csv_text in sorted(data.cuts.items()):
-            write_atomic(os.path.join(cfg.out, f"{name}.csv"), csv_text, manifest)
-        write_atomic(os.path.join(cfg.out, "step_star.csv"),
-                     data.step_star_csv(), manifest)
-        summary = {"reports": [r.to_json() for r in data.reports]}
-        write_atomic(os.path.join(cfg.out, "scaling_summary.json"),
-                     json.dumps(summary, indent=1, sort_keys=True) + "\n", manifest)
-    write_manifest(cfg.out, manifest)
-    return EXIT_OK
-
-
-def cmd_xi(cfg: argparse.Namespace, k_base_path: str | None) -> int:
-    path = k_base_path or os.path.join(cfg.out, f"K_m{experiments.XI_BASE_M}.json")
-    if not os.path.exists(path):
-        print(f"error: coefficient base {path} not found; run `swapcool coeffs` first",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
-    with open(path) as fh:
-        base = coefficients_from_json(json.load(fh))
-    manifest = _new_manifest(cfg, "xi")
-    manifest.config["k_base"] = os.path.basename(path)
-    with StageTimer(manifest, "xi"):
-        rows = experiments.xi_sweep(cfg.model, cfg.dims, cfg.alphas, base,
-                                    cfg.delta, cfg.dt, cfg.double)
-        write_atomic(os.path.join(cfg.out, "xi.csv"),
-                     experiments.xi_rows_to_csv(rows), manifest)
-    write_manifest(cfg.out, manifest)
-    return EXIT_OK
-
-
-def cmd_verify(cfg: argparse.Namespace, full: bool) -> int:
-    manifest = _new_manifest(cfg, "verify")
-    with StageTimer(manifest, "verify"):
-        results = verify.run_verify(seed=cfg.seed, full=full)
-    report = verify.report_to_json(results)
-    write_atomic(os.path.join(cfg.out, "verify_report.json"),
-                 json.dumps(report, indent=1, sort_keys=True) + "\n", manifest)
-    write_manifest(cfg.out, manifest)
-    for res in results:
-        print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}")
-    if not report["passed"]:
-        failing = [r.name for r in results if not r.passed]
-        print(f"verification failed: {', '.join(failing)}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
+    """Parse, resolve the settings, run the subcommand's handler inside its
+    manifest stage and write the manifest; bad input exits 2 with no manifest."""
     args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
         cfg = resolve_config(args)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg)
-        if args.command == "flow":
-            return cmd_flow(cfg)
-        if args.command == "protocol":
-            return cmd_protocol(cfg)
-        if args.command == "schedule":
-            return cmd_schedule(cfg, args.tournament)
-        if args.command == "coeffs":
-            return cmd_coeffs(cfg)
-        if args.command == "xi":
-            return cmd_xi(cfg, args.k_base)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.full)
+        manifest = RunManifest(config=dict(vars(cfg), command=args.command),
+                               version=__version__)
+        with StageTimer(manifest, command.stage):
+            code = command.run(cfg, args, manifest)
+        write_manifest(cfg.out, manifest)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    raise AssertionError("unreachable")
+    return code
 
 
 if __name__ == "__main__":

@@ -45,11 +45,11 @@ def _fire(keys, cb, width, pos, new_run):
     return hi
 
 
-def improved_schedule_events(m: int, record: bool = True):
+def improved_schedule_events(m: int):
     """Run the tau-matching pairing rules for 2m systems.
 
-    Returns (step_star, terminal_tau, step, lo, hi, tau_common).  The event
-    arrays are int32 in (step, lo) order, or None when record is False.
+    Returns (step_star, terminal_tau, step, lo, hi, tau_common), the event
+    arrays int32 in (step, lo) order.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -68,25 +68,22 @@ def improved_schedule_events(m: int, record: bool = True):
         hp = np.flatnonzero(_fire(keys, cb, n, pos, new_run))
         if not hp.size:
             break
-        if record:
-            # one (lo, hi, tau) block per step, pairs ordered by lo; the
-            # higher key has already moved up one tau
-            lo = keys[hp - 1] & mask
-            order = lo.argsort()
-            upper = keys[hp[order]]
-            block = np.empty((3, hp.size), dtype=np.int32)
-            block[0] = lo[order]
-            np.bitwise_and(upper, mask, out=block[1], casting="unsafe")
-            np.right_shift(upper, cb, out=block[2], casting="unsafe")
-            block[2] -= n + 1
-            blocks.append(block)
+        # one (lo, hi, tau) block per step, pairs ordered by lo; the higher
+        # key has already moved up one tau
+        lo = keys[hp - 1] & mask
+        order = lo.argsort()
+        upper = keys[hp[order]]
+        block = np.empty((3, hp.size), dtype=np.int32)
+        block[0] = lo[order]
+        np.bitwise_and(upper, mask, out=block[1], casting="unsafe")
+        np.right_shift(upper, cb, out=block[2], casting="unsafe")
+        block[2] -= n + 1
+        blocks.append(block)
         step += 1
         if step > limit:
             raise RuntimeError("pairing schedule failed to terminate")
     terminal = np.empty(n, dtype=np.int64)
     terminal[keys & mask] = (keys >> cb) - n
-    if not record:
-        return step, terminal, None, None, None, None
     counts = [b.shape[1] for b in blocks]
     events = np.empty((3, sum(counts)), dtype=np.int32)
     if blocks:
@@ -135,8 +132,8 @@ def accumulate_rows(n_systems, m, step, lo, hi, tau, fresh):
 
 
 def improved_schedule_stats_many(ms):
-    """(step_star, terminal_tau) of improved_schedule_events(m, False) for
-    every m in ``ms``, all runs stepped in lock-step.
+    """(step_star, terminal_tau) of improved_schedule_events(m) for every m
+    in ``ms``, without the event stream, all runs stepped in lock-step.
 
     Row i of a 2-D array holds the packed keys of the 2*ms[i] systems, and
     every step sorts and fires all rows at once.  A row is retired at its own
@@ -160,23 +157,27 @@ def improved_schedule_stats_many(ms):
     keys = ((field << cb) | cols).astype(dtype)
     pos = np.arange(keys.size, dtype=dtype)
     new_run = np.empty(keys.size, dtype=bool)
+    flat, pos_live, run_live = keys.ravel(), pos, new_run
+    run_rows = run_live.reshape(-1, width)
     live = np.arange(len(ms))
     limit = 10 * min(ms) ** 2 + 10
     step = 0
     while live.size:
         keys.sort(axis=1)
-        size = keys.size
-        hi = _fire(keys.ravel(), cb, width, pos[:size], new_run[:size])
-        paired = hi.reshape(-1, width).any(axis=1)
-        if not paired.all():
-            for i in np.flatnonzero(~paired):
+        _fire(flat, cb, width, pos_live, run_live)
+        # a row with no pair starts a run of equal tau at every column
+        done = np.logical_and.reduce(run_rows, axis=1)
+        if np.count_nonzero(done):
+            for i in np.flatnonzero(done):
                 n = 2 * ms[live[i]]
                 row = keys[i, :n]
                 terminal = np.empty(n, dtype=np.int64)
                 terminal[row & mask] = (row >> cb) - width
                 results[live[i]] = (step, terminal)
-            keys = keys[paired]
-            live = live[paired]
+            keys = keys[~done]
+            live = live[~done]
+            flat, pos_live, run_live = keys.ravel(), pos[:keys.size], new_run[:keys.size]
+            run_rows = run_live.reshape(-1, width)
             if live.size:
                 limit = 10 * min(ms[i] for i in live) ** 2 + 10
         step += 1

@@ -113,7 +113,7 @@ def improved_terminal_profile(m: int) -> np.ndarray:
 
 
 def build_improved_schedule(m: int) -> Schedule:
-    step_star, terminal, es, el, eh, et = kernels.improved_schedule_events(m, True)
+    step_star, terminal, es, el, eh, et = kernels.improved_schedule_events(m)
     fresh = ((et == 0) & (es != 0)).astype(np.uint8)
     sched = Schedule("improved", int(m), 2 * int(m), int(step_star),
                      es, el, eh, et, fresh, terminal)
@@ -124,8 +124,7 @@ def build_improved_schedule(m: int) -> Schedule:
 
 def improved_schedule_stats(m: int) -> tuple[int, np.ndarray]:
     """(step_star, terminal_tau) without materialising the event stream."""
-    step_star, terminal, *_ = kernels.improved_schedule_events(m, False)
-    return int(step_star), terminal
+    return kernels.improved_schedule_stats_many([m])[0]
 
 
 def check_tournament_n(n: int) -> None:
@@ -135,28 +134,19 @@ def check_tournament_n(n: int) -> None:
 
 def build_tournament_schedule(n: int) -> Schedule:
     """2^n systems; stage s pairs the surviving forward branches at tau = s,
-    the higher index of each pair advancing.  No fresh replacements."""
+    the higher index of each pair advancing.  The survivors of stage s are
+    the indices 2^s - 1 mod 2^s, so its pairs are hi = 2^(s+1) - 1 mod
+    2^(s+1) and lo = hi - 2^s.  No fresh replacements."""
     check_tournament_n(n)
     n_systems = 2 ** n
-    survivors = list(range(n_systems))
-    es, el, eh, et = [], [], [], []
-    tau = np.zeros(n_systems, dtype=np.int64)
-    for stage in range(n):
-        nxt = []
-        for q in range(0, len(survivors), 2):
-            a, b = survivors[q], survivors[q + 1]
-            es.append(stage)
-            el.append(a)
-            eh.append(b)
-            et.append(stage)
-            tau[a] -= 1
-            tau[b] += 1
-            nxt.append(b)
-        survivors = nxt
-    arrays = [np.asarray(x, dtype=np.int32) for x in (es, el, eh, et)]
-    fresh = np.zeros(len(es), dtype=np.uint8)
-    return Schedule("tournament", int(n), n_systems, n,
-                    arrays[0], arrays[1], arrays[2], arrays[3], fresh, tau)
+    hi = np.concatenate([np.arange(2 ** (s + 1) - 1, n_systems, 2 ** (s + 1), dtype=np.int32)
+                         for s in range(n)])
+    step = np.repeat(np.arange(n, dtype=np.int32), [n_systems >> (s + 1) for s in range(n)])
+    lo = hi - (1 << step)
+    tau = np.bincount(hi, minlength=n_systems) - np.bincount(lo, minlength=n_systems)
+    fresh = np.zeros(hi.size, dtype=np.uint8)
+    return Schedule("tournament", int(n), n_systems, n, step, lo, hi, step.copy(), fresh,
+                    tau.astype(np.int64))
 
 
 @dataclass(frozen=True)

@@ -207,14 +207,5 @@ def _interleave(values: np.ndarray) -> list[float]:
     return [float(x) for x in out]
 
 
-def _deinterleave(pairs: list[float]) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
-    return arr[0::2] + 1j * arr[1::2]
-
-
 def state_to_json(state: PureState) -> dict:
     return {"dim": state.dim, "amplitudes": _interleave(state.amplitudes)}
-
-
-def state_from_json(obj: dict) -> PureState:
-    return PureState(_deinterleave(obj["amplitudes"]))

@@ -5,7 +5,16 @@ import os
 import numpy as np
 import pytest
 
-from swapcool.cli import COMMANDS, CONFIG_KEYS, SETTINGS, build_parser, main, parse_dims
+from swapcool.cli import (
+    COMMANDS,
+    CONFIG_KEYS,
+    SETTINGS,
+    Command,
+    build_parser,
+    main,
+    parse_dims,
+)
+from swapcool.experiments import write_atomic
 
 
 def read(path):
@@ -159,9 +168,13 @@ def test_step_star_table_includes_hand_values(tmp_path):
     assert rows[1].startswith("2,3,")
 
 
-def test_xi_requires_coeffs_first(tmp_path):
+def test_xi_requires_coeffs_first(tmp_path, capsys):
     out = str(tmp_path / "o")
     assert main(["xi", "--model", "b", "--dims", "8", "--out", out]) == 2
+    base = os.path.join(out, "K_m128.json")
+    assert capsys.readouterr().err == (
+        f"error: coefficient base {base} not found; run `swapcool coeffs` first\n")
+    assert not os.path.exists(out)
 
 
 def test_xi_command(tmp_path):
@@ -323,7 +336,7 @@ def test_verify_command_smoke(tmp_path, monkeypatch):
     assert [s["name"] for s in manifest_of(out)["stages"]] == ["verify"]
 
 
-def test_verify_command_failure_exit_code(tmp_path, monkeypatch):
+def test_verify_command_failure_exit_code(tmp_path, monkeypatch, capsys):
     out = str(tmp_path / "o")
     from swapcool import verify as verify_mod
 
@@ -332,6 +345,35 @@ def test_verify_command_failure_exit_code(tmp_path, monkeypatch):
 
     monkeypatch.setattr(verify_mod, "run_verify", fast_run)
     assert main(["verify", "--out", out]) == 1
+    streams = capsys.readouterr()
+    assert streams.out == "FAIL  stub\n"
+    assert streams.err == "verification failed: stub\n"
+    # a failed verification still explains itself
+    man = manifest_of(out)
+    assert [s["name"] for s in man["stages"]] == ["verify"]
+    assert [f["path"] for f in man["files"]] == ["verify_report.json"]
+    assert json.loads(read(os.path.join(out, "verify_report.json")))["passed"] is False
+
+
+def test_main_runs_any_command_through_one_path(tmp_path, monkeypatch):
+    # a command main has never heard of: the table entry alone wires it up
+    seen = {}
+
+    def run(cfg, args, manifest):
+        seen["manifest"] = manifest
+        write_atomic(os.path.join(cfg.out, "stub.txt"), f"m={cfg.m_list}\n", manifest)
+        return 0
+
+    monkeypatch.setitem(COMMANDS, "stub", Command("a stub", ("m_list", "out"), "stub_stage",
+                                                  run, {"m_list": "3"}))
+    out = str(tmp_path / "o")
+    assert main(["stub", "--out", out]) == 0
+    assert read(os.path.join(out, "stub.txt")) == "m=[3]\n"
+    man = manifest_of(out)
+    assert man == seen["manifest"].to_json()
+    assert man["config"] == {"command": "stub", "m_list": [3], "out": out}
+    assert [s["name"] for s in man["stages"]] == ["stub_stage"]
+    assert [f["path"] for f in man["files"]] == ["stub.txt"]
 
 
 def test_doubled_outputs_carry_suffix(tmp_path):

@@ -54,21 +54,17 @@ def reference_coefficients(m, events):
 @pytest.mark.parametrize("m", MS)
 def test_schedule_events_match_reference(m):
     ref_star, ref_terminal, ref_events = reference_events(m)
-    step_star, terminal, es, el, eh, et = kernels.improved_schedule_events(m, True)
+    step_star, terminal, es, el, eh, et = kernels.improved_schedule_events(m)
     assert step_star == ref_star
     np.testing.assert_array_equal(terminal, ref_terminal)
     np.testing.assert_array_equal(np.stack([es, el, eh, et], axis=1),
                                   np.asarray(ref_events).reshape(-1, 4))
-    star_only, terminal_only, *rest = kernels.improved_schedule_events(m, False)
-    assert star_only == ref_star
-    np.testing.assert_array_equal(terminal_only, ref_terminal)
-    assert rest == [None] * 4
 
 
 @pytest.mark.parametrize("m", MS)
 def test_accumulate_matches_reference(m):
     _, _, ref_events = reference_events(m)
-    _, _, es, el, eh, et = kernels.improved_schedule_events(m, True)
+    _, _, es, el, eh, et = kernels.improved_schedule_events(m)
     fresh = ((et == 0) & (es != 0)).astype(np.uint8)
     k = kernels.accumulate_rows(2 * m, m, es, el, eh, et, fresh)
     np.testing.assert_array_equal(k, reference_coefficients(m, ref_events))
@@ -84,9 +80,10 @@ def test_lockstep_stats_match_per_m_loop():
     batched = kernels.improved_schedule_stats_many(ms)
     assert len(batched) == len(ms)
     for m, (step_star, terminal) in zip(ms, batched):
-        ref_star, ref_terminal, *_ = kernels.improved_schedule_events(m, False)
+        ref_star, ref_terminal, _ = reference_events(m)
         assert step_star == ref_star, m
         np.testing.assert_array_equal(terminal, ref_terminal)
+        assert terminal.dtype == np.int64
 
 
 def test_lockstep_stats_rejects_bad_m():

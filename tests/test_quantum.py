@@ -10,7 +10,6 @@ from swapcool.quantum import (
     energy_moments,
     evolve_phase,
     partial_trace,
-    state_from_json,
     state_to_json,
     survival,
     uniform_state,
@@ -193,8 +192,15 @@ def test_eigendecompose_rejects_nonhermitian():
         eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_state_json_round_trip():
+def test_state_to_json_interleaves_real_and_imaginary_parts():
+    # the layout of every basis state in the `swapcool protocol` JSON
     rng = np.random.default_rng(8)
     phi = random_state(rng, 5)
-    back = state_from_json(state_to_json(phi))
-    np.testing.assert_array_equal(back.amplitudes, phi.amplitudes)
+    payload = state_to_json(phi)
+    assert payload["dim"] == 5
+    amps = payload["amplitudes"]
+    assert len(amps) == 10 and all(type(x) is float for x in amps)
+    assert amps[0::2] == phi.amplitudes.real.tolist()
+    assert amps[1::2] == phi.amplitudes.imag.tolist()
+    assert state_to_json(PureState(np.array([0.6, -0.8j]))) == {
+        "dim": 2, "amplitudes": [0.6, 0.0, 0.0, -0.8]}

@@ -25,7 +25,6 @@ from .hamiltonian import (
 )
 from .experiments import RunManifest, StageTimer, write_atomic, write_manifest
 from .network import (
-    Schedule,
     build_improved_schedule,
     build_tournament_schedule,
     check_tournament_n,
@@ -164,8 +163,7 @@ def cmd_protocol(cfg: argparse.Namespace, args: argparse.Namespace,
     return EXIT_OK
 
 
-def _write_schedule(path: str, sched: Schedule, manifest: RunManifest) -> None:
-    text = schedule_to_json(sched)
+def _write_json(path: str, text: bytearray, manifest: RunManifest) -> None:
     text += b"\n"      # in place: the file exists in memory once
     write_atomic(path, text, manifest)
 
@@ -177,10 +175,11 @@ def cmd_schedule(cfg: argparse.Namespace, args: argparse.Namespace,
     for m in cfg.m_list:
         sched = build_improved_schedule(m)
         sched.validate()
-        _write_schedule(os.path.join(cfg.out, f"schedule_m{m}.json"), sched, manifest)
+        _write_json(os.path.join(cfg.out, f"schedule_m{m}.json"), schedule_to_json(sched),
+                    manifest)
     if args.tournament is not None:
-        _write_schedule(os.path.join(cfg.out, f"schedule_tournament_n{args.tournament}.json"),
-                        build_tournament_schedule(args.tournament), manifest)
+        _write_json(os.path.join(cfg.out, f"schedule_tournament_n{args.tournament}.json"),
+                    schedule_to_json(build_tournament_schedule(args.tournament)), manifest)
     return EXIT_OK
 
 
@@ -189,8 +188,7 @@ def cmd_coeffs(cfg: argparse.Namespace, args: argparse.Namespace,
     data = experiments.coeffs_dataset(cfg.m_list)
     for m, kmat in sorted(data.matrices.items()):
         write_atomic(os.path.join(cfg.out, f"K_m{m}.csv"), kmat.to_csv(), manifest)
-        write_atomic(os.path.join(cfg.out, f"K_m{m}.json"),
-                     json.dumps(coefficients_to_json(kmat)) + "\n", manifest)
+        _write_json(os.path.join(cfg.out, f"K_m{m}.json"), coefficients_to_json(kmat), manifest)
     for name, csv_text in sorted(data.cuts.items()):
         write_atomic(os.path.join(cfg.out, f"{name}.csv"), csv_text, manifest)
     write_atomic(os.path.join(cfg.out, "step_star.csv"), data.step_star_csv(), manifest)

@@ -24,9 +24,8 @@ from .hamiltonian import Spectrum, build_model, double, min_m_bound, spectral_st
 from .flow import flow_series, t_c_bounds
 from .network import (
     CoefficientMatrix,
-    build_improved_schedule,
     check_scaling_law,
-    propagate_coefficients,
+    improved_coefficients,
     rescaled_frame,
     scaling_cut_positions,
     xi_result,
@@ -122,9 +121,7 @@ def coeffs_dataset(m_list) -> CoeffsDataset:
     matrices = {}
     step_stars = {}
     for m in m_list:
-        sched = build_improved_schedule(m)
-        step_stars[m] = sched.step_star
-        matrices[m] = propagate_coefficients(sched)
+        matrices[m], step_stars[m] = improved_coefficients(m)
     m0 = m_list[0]
     reports = []
     for m in m_list[1:]:
@@ -182,7 +179,7 @@ def xi_rows_to_csv(rows: list[XiRow]) -> str:
 
 
 def base_coefficient_matrix(m: int = XI_BASE_M) -> CoefficientMatrix:
-    return propagate_coefficients(build_improved_schedule(m))
+    return improved_coefficients(m)[0]
 
 
 # --- manifest & atomic output ---------------------------------------------------

@@ -5,7 +5,9 @@ of every pile in index order (lower index to tau-1, higher to tau+1): the
 scan rule "pair each index with the next unpaired index of the same tau" is
 synchronous chip-firing on Z.  The pairs of one step are disjoint, so a whole
 step is a few array operations, both for generating the events and for
-accumulating the coefficient rows.
+accumulating the coefficient rows.  ``ImprovedSteps`` hands out the steps
+one at a time: the accumulation consumes them as they are fired, and
+``improved_schedule_events`` stores them as event arrays.
 
 Each system is one packed key ``(tau + offset) << cb | index``.  Sorting the
 keys orders them by (tau, index); a pair moves its lower key down one tau and
@@ -45,52 +47,70 @@ def _fire(keys, cb, width, pos, new_run):
     return hi
 
 
+class ImprovedSteps:
+    """The improved network for 2m systems, stepped by chip-firing.
+
+    Iterating runs the network once and yields, step by step, the int arrays
+    (lo, hi, tau) of that step's pairs in firing order (by tau, then index),
+    tau being the pair's common tau before the step.  Once the iteration has
+    ended, ``step_star`` holds the number of steps and ``terminal`` the int64
+    terminal tau of every system.
+    """
+
+    def __init__(self, m: int):
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        self.m = int(m)
+        self.step_star = None
+        self.terminal = None
+
+    def __iter__(self):
+        n = 2 * self.m
+        cb, dtype = _key_layout(n)
+        mask = (1 << cb) - 1
+        # tau stays inside [-m, m], so the tau field stays inside [m, 3m]
+        pos = np.arange(n, dtype=dtype)
+        keys = (n << cb) | pos
+        new_run = np.empty(n, dtype=bool)
+        limit = 10 * self.m * self.m + 10
+        step = 0
+        while True:
+            keys.sort()
+            hp = np.flatnonzero(_fire(keys, cb, n, pos, new_run))
+            if not hp.size:
+                break
+            # the higher key has already moved up one tau
+            upper = keys[hp]
+            yield keys[hp - 1] & mask, upper & mask, (upper >> cb) - (n + 1)
+            step += 1
+            if step > limit:
+                raise RuntimeError("pairing schedule failed to terminate")
+        terminal = np.empty(n, dtype=np.int64)
+        terminal[keys & mask] = (keys >> cb) - n
+        self.step_star, self.terminal = step, terminal
+
+
 def improved_schedule_events(m: int):
     """Run the tau-matching pairing rules for 2m systems.
 
     Returns (step_star, terminal_tau, step, lo, hi, tau_common), the event
     arrays int32 in (step, lo) order.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    n = 2 * m
-    cb, dtype = _key_layout(n)
-    mask = (1 << cb) - 1
-    # tau stays inside [-m, m], so the tau field stays inside [m, 3m]
-    pos = np.arange(n, dtype=dtype)
-    keys = (n << cb) | pos
-    new_run = np.empty(n, dtype=bool)
-    limit = 10 * m * m + 10
+    steps = ImprovedSteps(m)
     blocks = []
-    step = 0
-    while True:
-        keys.sort()
-        hp = np.flatnonzero(_fire(keys, cb, n, pos, new_run))
-        if not hp.size:
-            break
-        # one (lo, hi, tau) block per step, pairs ordered by lo; the higher
-        # key has already moved up one tau
-        lo = keys[hp - 1] & mask
+    for lo, hi, tau in steps:
+        # one (lo, hi, tau) block per step, pairs ordered by lo
         order = lo.argsort()
-        upper = keys[hp[order]]
-        block = np.empty((3, hp.size), dtype=np.int32)
+        block = np.empty((3, lo.size), dtype=np.int32)
         block[0] = lo[order]
-        np.bitwise_and(upper, mask, out=block[1], casting="unsafe")
-        np.right_shift(upper, cb, out=block[2], casting="unsafe")
-        block[2] -= n + 1
+        block[1] = hi[order]
+        block[2] = tau[order]
         blocks.append(block)
-        step += 1
-        if step > limit:
-            raise RuntimeError("pairing schedule failed to terminate")
-    terminal = np.empty(n, dtype=np.int64)
-    terminal[keys & mask] = (keys >> cb) - n
     counts = [b.shape[1] for b in blocks]
-    events = np.empty((3, sum(counts)), dtype=np.int32)
-    if blocks:
-        np.concatenate(blocks, axis=1, out=events)
+    events = np.concatenate(blocks, axis=1)
     del blocks  # release the per-step blocks before the step column is built
-    ev_step = np.repeat(np.arange(step, dtype=np.int32), counts)
-    return step, terminal, ev_step, events[0], events[1], events[2]
+    ev_step = np.repeat(np.arange(steps.step_star, dtype=np.int32), counts)
+    return steps.step_star, steps.terminal, ev_step, events[0], events[1], events[2]
 
 
 def step_blocks(step):
@@ -101,31 +121,31 @@ def step_blocks(step):
     return zip([0] + bounds, bounds + [step.size])
 
 
-def accumulate_rows(n_systems, m, step, lo, hi, tau, fresh):
-    """Propagate deviation-coefficient rows through pair events in step order.
+def accumulate_rows(n_systems, m, blocks):
+    """Propagate deviation-coefficient rows through a network's pair events.
 
-    Each pair resets both rows when flagged fresh, then sets both to the row
-    mean plus a unit at the column of the pair's common tau.  The pairs of
-    one step must be disjoint (``Schedule.validate`` checks it); then the
-    whole step is one gather, mean and scatter, with the same floating-point
-    operations as a loop over its pairs.
+    ``blocks`` yields the (lo, hi, tau, fresh) arrays of one step at a time,
+    in step order.  Each pair resets both rows when flagged fresh, then sets
+    both to the row mean plus a unit at the column of the pair's common tau.
+    The pairs of one step must be disjoint (``Schedule.validate`` checks it);
+    then the whole step is one gather, mean and scatter, with the same
+    floating-point operations as a loop over its pairs in any order.
     """
     ncols = 2 * m + 1
     K = np.zeros((n_systems, ncols))
-    if not lo.size:
-        return K
-    if tau.min() + m < 0 or tau.max() + m >= ncols:
-        raise AssertionError("coefficient column out of range")
     slot = np.arange(n_systems)
-    for s0, s1 in step_blocks(step):
-        a, b = lo[s0:s1], hi[s0:s1]
+    for a, b, tau, f in blocks:
+        if not a.size:
+            continue
+        col = tau + m
+        if col.min() < 0 or col.max() >= ncols:
+            raise AssertionError("coefficient column out of range")
         row = K[a]
         row += K[b]
         row *= 0.5
-        f = fresh[s0:s1]
         if f.any():
             row[f.astype(bool)] = 0.0
-        row[slot[:s1 - s0], tau[s0:s1] + m] += 1.0
+        row[slot[:a.size], col] += 1.0
         K[a] = row
         K[b] = row
     return K

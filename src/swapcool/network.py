@@ -16,7 +16,8 @@ Each protocol application deposits one unit of second-order deviation at the
 pair's common tau and averages whatever the two systems had accumulated; the
 resulting coefficient rows depend only on the schedule, never on the
 Hamiltonian.  Event generation and coefficient accumulation are stepped one
-whole network step at a time in :mod:`swapcool.kernels`.
+whole network step at a time in :mod:`swapcool.kernels`; improved_coefficients
+accumulates each step as the network fires it, without the event stream.
 """
 
 from __future__ import annotations
@@ -112,14 +113,17 @@ def improved_terminal_profile(m: int) -> np.ndarray:
     return np.where(i < m, i - m, i - m + 1).astype(np.int64)
 
 
+def _check_improved_terminal(terminal: np.ndarray, m: int) -> None:
+    if np.any(terminal != improved_terminal_profile(m)):
+        raise AssertionError("scheduler produced a wrong terminal profile")
+
+
 def build_improved_schedule(m: int) -> Schedule:
     step_star, terminal, es, el, eh, et = kernels.improved_schedule_events(m)
     fresh = ((et == 0) & (es != 0)).astype(np.uint8)
-    sched = Schedule("improved", int(m), 2 * int(m), int(step_star),
-                     es, el, eh, et, fresh, terminal)
-    if np.any(sched.terminal_tau != improved_terminal_profile(m)):
-        raise AssertionError("scheduler produced a wrong terminal profile")
-    return sched
+    _check_improved_terminal(terminal, m)
+    return Schedule("improved", int(m), 2 * int(m), int(step_star),
+                    es, el, eh, et, fresh, terminal)
 
 
 def improved_schedule_stats(m: int) -> tuple[int, np.ndarray]:
@@ -173,9 +177,23 @@ class CoefficientMatrix:
 
 
 def propagate_coefficients(sched: Schedule) -> CoefficientMatrix:
-    k = kernels.accumulate_rows(sched.n_systems, sched.m, sched.step, sched.lo,
-                                sched.hi, sched.tau_common, sched.fresh)
-    return CoefficientMatrix(sched.m, k)
+    blocks = ((sched.lo[s0:s1], sched.hi[s0:s1], sched.tau_common[s0:s1], sched.fresh[s0:s1])
+              for s0, s1 in kernels.step_blocks(sched.step))
+    return CoefficientMatrix(sched.m, kernels.accumulate_rows(sched.n_systems, sched.m, blocks))
+
+
+def improved_coefficients(m: int) -> tuple[CoefficientMatrix, int]:
+    """(K, step*) of the improved network for 2m systems, the same as
+    propagate_coefficients(build_improved_schedule(m)) and its step*.  Each
+    step's pairs go into the accumulation as the network fires them, so the
+    event stream is never held."""
+    m = int(m)
+    steps = kernels.ImprovedSteps(m)
+    # a pair meeting at tau = 0 after the first step is replaced by fresh states
+    blocks = ((lo, hi, tau, (tau == 0) & (s > 0)) for s, (lo, hi, tau) in enumerate(steps))
+    kmat = CoefficientMatrix(m, kernels.accumulate_rows(2 * m, m, blocks))
+    _check_improved_terminal(steps.terminal, m)
+    return kmat, steps.step_star
 
 
 def rescale_row(base: CoefficientMatrix, m: int) -> np.ndarray:
@@ -464,8 +482,16 @@ def schedule_from_json(obj: dict) -> Schedule:
                     np.asarray(obj["terminal_tau"], dtype=np.int64))
 
 
-def coefficients_to_json(kmat: CoefficientMatrix) -> dict:
-    return {"m": kmat.m, "k": kmat.k.tolist()}
+def coefficients_to_json(kmat: CoefficientMatrix) -> bytearray:
+    """``json.dumps({"m": m, "k": k.tolist()})`` as UTF-8, encoded one row
+    at a time and appended in place, so the text exists in memory once."""
+    out = bytearray(f'{{"m": {json.dumps(kmat.m)}, "k": ['.encode())
+    for j, row in enumerate(kmat.k):
+        if j:
+            out += b", "
+        out += json.dumps(row.tolist()).encode()
+    out += b"]}"
+    return out
 
 
 def coefficients_from_json(obj: dict) -> CoefficientMatrix:

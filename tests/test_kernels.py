@@ -2,13 +2,14 @@
 
 The reference pairs by the scan rule itself (ascending index, one pending
 index per tau value) and accumulates one pair at a time, so event streams,
-step*, terminal profiles and coefficient matrices must match it exactly.
+step*, terminal profiles and coefficient matrices must match it exactly,
+both materialised as event arrays and streamed step by step.
 """
 
 import numpy as np
 import pytest
 
-from swapcool import kernels
+from swapcool import kernels, network
 
 MS = [1, 2, 3, 4, 5, 8, 13, 16, 27, 32]
 
@@ -66,13 +67,64 @@ def test_accumulate_matches_reference(m):
     _, _, ref_events = reference_events(m)
     _, _, es, el, eh, et = kernels.improved_schedule_events(m)
     fresh = ((et == 0) & (es != 0)).astype(np.uint8)
-    k = kernels.accumulate_rows(2 * m, m, es, el, eh, et, fresh)
+    blocks = ((el[s0:s1], eh[s0:s1], et[s0:s1], fresh[s0:s1])
+              for s0, s1 in kernels.step_blocks(es))
+    k = kernels.accumulate_rows(2 * m, m, blocks)
     np.testing.assert_array_equal(k, reference_coefficients(m, ref_events))
+
+
+@pytest.mark.parametrize("m", MS)
+def test_streamed_steps_match_reference(m):
+    ref_star, ref_terminal, ref_events = reference_events(m)
+    steps = kernels.ImprovedSteps(m)
+    events = sorted((s, lo, hi, t) for s, block in enumerate(steps)
+                    for lo, hi, t in zip(*(a.tolist() for a in block)))
+    assert events == ref_events
+    assert steps.step_star == ref_star
+    np.testing.assert_array_equal(steps.terminal, ref_terminal)
+    kmat, step_star = network.improved_coefficients(m)
+    assert step_star == ref_star
+    np.testing.assert_array_equal(kmat.k, reference_coefficients(m, ref_events))
+
+
+@pytest.mark.parametrize("m", list(range(1, 41)) + [64])
+def test_streamed_path_matches_materialised(m):
+    sched = network.build_improved_schedule(m)
+    kmat, step_star = network.improved_coefficients(m)
+    assert kmat.m == m
+    assert step_star == sched.step_star
+    np.testing.assert_array_equal(kmat.k, network.propagate_coefficients(sched).k)
+    steps = kernels.ImprovedSteps(m)
+    for _ in steps:
+        pass
+    assert steps.step_star == sched.step_star
+    np.testing.assert_array_equal(steps.terminal, sched.terminal_tau)
+    assert steps.terminal.dtype == np.int64
+
+
+def test_streamed_path_checks_terminal_profile(monkeypatch):
+    closed_form = network.improved_terminal_profile
+    monkeypatch.setattr(network, "improved_terminal_profile", lambda m: closed_form(m) + 1)
+    with pytest.raises(AssertionError, match="terminal profile"):
+        network.improved_coefficients(4)
+    with pytest.raises(AssertionError, match="terminal profile"):
+        network.build_improved_schedule(4)
+
+
+def test_stepper_step_limit(monkeypatch):
+    # pairs that never move their keys: the network would fire forever
+    monkeypatch.setattr(kernels, "_fire", lambda keys, cb, width, pos, new_run: pos & 1)
+    with pytest.raises(RuntimeError, match="failed to terminate"):
+        network.improved_coefficients(2)
+    with pytest.raises(RuntimeError, match="failed to terminate"):
+        kernels.improved_schedule_events(2)
 
 
 def test_schedule_events_rejects_bad_m():
     with pytest.raises(ValueError):
         kernels.improved_schedule_events(0)
+    with pytest.raises(ValueError):
+        network.improved_coefficients(0)
 
 
 def test_lockstep_stats_match_per_m_loop():
@@ -92,10 +144,23 @@ def test_lockstep_stats_rejects_bad_m():
 
 
 def test_accumulate_column_bounds_asserted():
-    step = np.array([0], dtype=np.int32)
     lo = np.array([0], dtype=np.int32)
     hi = np.array([1], dtype=np.int32)
-    tau = np.array([9], dtype=np.int32)     # column 9 + 1 out of range for m=1
     fresh = np.zeros(1, dtype=np.uint8)
-    with pytest.raises(AssertionError):
-        kernels.accumulate_rows(2, 1, step, lo, hi, tau, fresh)
+    for t in (9, -2):                       # columns 9 + 1 and -2 + 1 lie outside 0..2 for m=1
+        tau = np.array([t], dtype=np.int32)
+        with pytest.raises(AssertionError, match="column out of range"):
+            kernels.accumulate_rows(2, 1, [(lo, hi, tau, fresh)])
+
+
+def test_streamed_column_bounds_asserted(monkeypatch):
+    class ShiftedSteps(kernels.ImprovedSteps):
+        """The real steps with every tau moved past the last column."""
+
+        def __iter__(self):
+            for lo, hi, tau in super().__iter__():
+                yield lo, hi, tau + 2 * self.m
+
+    monkeypatch.setattr(kernels, "ImprovedSteps", ShiftedSteps)
+    with pytest.raises(AssertionError, match="column out of range"):
+        network.improved_coefficients(3)

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from . import __version__, experiments, verify
@@ -60,8 +61,12 @@ def parse_dims(text: str) -> list[int]:
     return dims
 
 
-def parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def parse_int_list(text: str, least: int) -> list[int]:
+    """A comma list of one or more ints, each >= least."""
+    values = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not values or min(values) < least:
+        raise ValueError(f"need one or more values, each >= {least}, got {text!r}")
+    return values
 
 
 def parse_models(text: str) -> list[str]:
@@ -77,13 +82,6 @@ def parse_dt(text: str) -> float:
     if dt <= 0:
         raise ValueError("dt must be positive")
     return dt
-
-
-def parse_m_list(text: str) -> list[int]:
-    m_list = parse_int_list(text)
-    if not m_list or min(m_list) < 1:
-        raise ValueError(f"need one or more m, each >= 1, got {text!r}")
-    return m_list
 
 
 def parse_switch(text: str) -> bool:
@@ -112,8 +110,10 @@ SETTINGS = {
     "dt": Setting("--dt", None, parse_dt, "protocol step; default 0.01/gap"),
     "t_max": Setting("--t-max", None, float, "trajectory end; default 2 t_c upper bound"),
     "target_c": Setting("--target-c", "0.99", float, "trajectory reaches past t_c of this target"),
-    "alphas": Setting("--alphas", "1,2,3,4", parse_int_list, "comma list"),
-    "m_list": Setting("--m", "16,32,64,128", parse_m_list, "comma list of m values"),
+    "alphas": Setting("--alphas", "1,2,3,4", partial(parse_int_list, least=0),
+                      "comma list, each >= 0"),
+    "m_list": Setting("--m", "16,32,64,128", partial(parse_int_list, least=1),
+                      "comma list of m values, each >= 1"),
     "seed": Setting("--seed", "0", int, "seed of the randomised checks"),
     "out": Setting("--out", "out", str, "output directory"),
 }

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import DEGENERACY_TOL, Spectrum
+from .hamiltonian import DEGENERACY_TOL, Spectrum, spectral_stats
 from .quantum import PureState, _check_dims
 
 RK4_STEP_CAP = 0.1   # max h * span accepted by the integrator
@@ -240,8 +240,6 @@ def flow_series(phi0: PureState, spec: Spectrum, times) -> FlowResult:
     """p1, ground-subspace population and energy along the flow, with the
     logistic bounds, evaluated on the level populations one block of times
     at a time."""
-    from .hamiltonian import spectral_stats
-
     stats = spectral_stats(spec)
     lf = level_flow(phi0, spec)
     times = np.asarray(times, dtype=float)

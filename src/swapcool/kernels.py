@@ -5,9 +5,15 @@ of every pile in index order (lower index to tau-1, higher to tau+1): the
 scan rule "pair each index with the next unpaired index of the same tau" is
 synchronous chip-firing on Z.  The pairs of one step are disjoint, so a whole
 step is a few array operations, both for generating the events and for
-accumulating the coefficient rows.  ``ImprovedSteps`` hands out the steps
-one at a time: the accumulation consumes them as they are fired, and
-``improved_schedule_events`` stores them as event arrays.
+accumulating the coefficient rows.
+
+One chip-firing loop, ``_lockstep``, steps any number of networks side by
+side, and it has three consumers.  ``ImprovedSteps`` runs one network and
+hands out its pairs step by step: the pair stream, which the coefficient
+accumulation takes as the network fires it.  ``network.build_improved_schedule``
+stores that stream as the schedule's event arrays.
+``improved_schedule_stats_many`` drains the loop for many m at once and
+keeps only each step* and terminal profile.
 
 Each system is one packed key ``(tau + offset) << cb | index``.  Sorting the
 keys orders them by (tau, index); a pair moves its lower key down one tau and
@@ -47,8 +53,62 @@ def _fire(keys, cb, width, pos, new_run):
     return hi
 
 
+def _lockstep(ms, results):
+    """Run the improved network for every m in the list ``ms`` in lock-step.
+
+    Row i of a 2-D array holds the packed keys of the 2*ms[i] systems, and
+    every step sorts and fires all live rows at once.  After each step that
+    paired something, yields the live rows' flat keys and the 0/1 mask of
+    the higher members (whose keys have already moved up one tau).  A row
+    that pairs nothing is retired at its own step* with ``results[i] =
+    (step*, int64 terminal tau)``, so a sweep costs one sort per step of the
+    largest m.  The tau field of a system is tau + 2*max(ms).
+    """
+    if any(m < 1 for m in ms):
+        raise ValueError("m must be >= 1")
+    if not ms:
+        return
+    width = 2 * max(ms)
+    cb, dtype = _key_layout(width)
+    mask = (1 << cb) - 1
+    cols = np.arange(width)
+    # A row's extreme taus only move outwards and end at -m and m, so the tau
+    # field stays inside [width - m, width + m].  Padding columns of shorter
+    # rows sit at distinct fields from 2*width up and therefore never pair.
+    field = np.where(cols < 2 * np.asarray(ms)[:, None], width, 2 * width + cols)
+    keys = ((field << cb) | cols).astype(dtype)
+    pos = np.arange(keys.size, dtype=dtype)
+    new_run = np.empty(keys.size, dtype=bool)
+    flat, pos_live, run_live = keys.ravel(), pos, new_run
+    live = np.arange(len(ms))
+    limit = 10 * min(ms) ** 2 + 10
+    step = 0
+    while live.size:
+        keys.sort(axis=1)
+        hi = _fire(flat, cb, width, pos_live, run_live)
+        paired = hi.reshape(-1, width).any(axis=1)
+        n_paired = np.count_nonzero(paired)
+        if n_paired:
+            yield flat, hi
+        if n_paired < live.size:
+            for i in np.flatnonzero(~paired):
+                row = keys[i, :2 * ms[live[i]]]
+                terminal = np.empty(row.size, dtype=np.int64)
+                terminal[row & mask] = (row >> cb) - width
+                results[live[i]] = (step, terminal)
+            keys = keys[paired]
+            live = live[paired]
+            flat, pos_live, run_live = keys.ravel(), pos[:keys.size], new_run[:keys.size]
+            if live.size:
+                limit = 10 * min(ms[i] for i in live) ** 2 + 10
+        step += 1
+        if live.size and step > limit:
+            raise RuntimeError("pairing schedule failed to terminate")
+
+
 class ImprovedSteps:
-    """The improved network for 2m systems, stepped by chip-firing.
+    """The improved network for 2m systems: the one-row case of the
+    lock-step loop.
 
     Iterating runs the network once and yields, step by step, the int arrays
     (lo, hi, tau) of that step's pairs in firing order (by tau, then index),
@@ -58,59 +118,21 @@ class ImprovedSteps:
     """
 
     def __init__(self, m: int):
-        if m < 1:
-            raise ValueError("m must be >= 1")
         self.m = int(m)
         self.step_star = None
         self.terminal = None
 
     def __iter__(self):
         n = 2 * self.m
-        cb, dtype = _key_layout(n)
+        cb = _key_layout(n)[0]
         mask = (1 << cb) - 1
-        # tau stays inside [-m, m], so the tau field stays inside [m, 3m]
-        pos = np.arange(n, dtype=dtype)
-        keys = (n << cb) | pos
-        new_run = np.empty(n, dtype=bool)
-        limit = 10 * self.m * self.m + 10
-        step = 0
-        while True:
-            keys.sort()
-            hp = np.flatnonzero(_fire(keys, cb, n, pos, new_run))
-            if not hp.size:
-                break
+        results = [None]
+        for keys, hi in _lockstep([self.m], results):
+            hp = np.flatnonzero(hi)
             # the higher key has already moved up one tau
             upper = keys[hp]
             yield keys[hp - 1] & mask, upper & mask, (upper >> cb) - (n + 1)
-            step += 1
-            if step > limit:
-                raise RuntimeError("pairing schedule failed to terminate")
-        terminal = np.empty(n, dtype=np.int64)
-        terminal[keys & mask] = (keys >> cb) - n
-        self.step_star, self.terminal = step, terminal
-
-
-def improved_schedule_events(m: int):
-    """Run the tau-matching pairing rules for 2m systems.
-
-    Returns (step_star, terminal_tau, step, lo, hi, tau_common), the event
-    arrays int32 in (step, lo) order.
-    """
-    steps = ImprovedSteps(m)
-    blocks = []
-    for lo, hi, tau in steps:
-        # one (lo, hi, tau) block per step, pairs ordered by lo
-        order = lo.argsort()
-        block = np.empty((3, lo.size), dtype=np.int32)
-        block[0] = lo[order]
-        block[1] = hi[order]
-        block[2] = tau[order]
-        blocks.append(block)
-    counts = [b.shape[1] for b in blocks]
-    events = np.concatenate(blocks, axis=1)
-    del blocks  # release the per-step blocks before the step column is built
-    ev_step = np.repeat(np.arange(steps.step_star, dtype=np.int32), counts)
-    return steps.step_star, steps.terminal, ev_step, events[0], events[1], events[2]
+        self.step_star, self.terminal = results[0]
 
 
 def step_blocks(step):
@@ -152,55 +174,10 @@ def accumulate_rows(n_systems, m, blocks):
 
 
 def improved_schedule_stats_many(ms):
-    """(step_star, terminal_tau) of improved_schedule_events(m) for every m
-    in ``ms``, without the event stream, all runs stepped in lock-step.
-
-    Row i of a 2-D array holds the packed keys of the 2*ms[i] systems, and
-    every step sorts and fires all rows at once.  A row is retired at its own
-    step*, so the sweep costs one sort per step of the largest m instead of
-    one per step of every m.
-    """
+    """(step_star, terminal_tau) of the improved network for every m in
+    ``ms``, without the event stream: the lock-step loop, drained."""
     ms = [int(m) for m in ms]
-    if any(m < 1 for m in ms):
-        raise ValueError("m must be >= 1")
     results = [None] * len(ms)
-    if not ms:
-        return results
-    width = 2 * max(ms)
-    cb, dtype = _key_layout(width)
-    mask = (1 << cb) - 1
-    cols = np.arange(width)
-    # A row's extreme taus only move outwards and end at -m and m, so the tau
-    # field stays inside [width - m, width + m].  Padding columns of shorter
-    # rows sit at distinct fields from 2*width up and therefore never pair.
-    field = np.where(cols < 2 * np.asarray(ms)[:, None], width, 2 * width + cols)
-    keys = ((field << cb) | cols).astype(dtype)
-    pos = np.arange(keys.size, dtype=dtype)
-    new_run = np.empty(keys.size, dtype=bool)
-    flat, pos_live, run_live = keys.ravel(), pos, new_run
-    run_rows = run_live.reshape(-1, width)
-    live = np.arange(len(ms))
-    limit = 10 * min(ms) ** 2 + 10
-    step = 0
-    while live.size:
-        keys.sort(axis=1)
-        _fire(flat, cb, width, pos_live, run_live)
-        # a row with no pair starts a run of equal tau at every column
-        done = np.logical_and.reduce(run_rows, axis=1)
-        if np.count_nonzero(done):
-            for i in np.flatnonzero(done):
-                n = 2 * ms[live[i]]
-                row = keys[i, :n]
-                terminal = np.empty(n, dtype=np.int64)
-                terminal[row & mask] = (row >> cb) - width
-                results[live[i]] = (step, terminal)
-            keys = keys[~done]
-            live = live[~done]
-            flat, pos_live, run_live = keys.ravel(), pos[:keys.size], new_run[:keys.size]
-            run_rows = run_live.reshape(-1, width)
-            if live.size:
-                limit = 10 * min(ms[i] for i in live) ** 2 + 10
-        step += 1
-        if live.size and step > limit:
-            raise RuntimeError("pairing schedule failed to terminate")
+    for _ in _lockstep(ms, results):
+        pass
     return results

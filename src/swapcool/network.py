@@ -15,9 +15,12 @@ in 1-based labels, with step* = O(m^2).
 Each protocol application deposits one unit of second-order deviation at the
 pair's common tau and averages whatever the two systems had accumulated; the
 resulting coefficient rows depend only on the schedule, never on the
-Hamiltonian.  Event generation and coefficient accumulation are stepped one
-whole network step at a time in :mod:`swapcool.kernels`; improved_coefficients
-accumulates each step as the network fires it, without the event stream.
+Hamiltonian.  The improved network is stepped one whole network step at a
+time by the single chip-firing loop of :mod:`swapcool.kernels`, which has
+three consumers: improved_coefficients accumulates the pair stream as the
+network fires it, without the event stream; build_improved_schedule stores
+the stream as event arrays; improved_schedule_stats keeps step* and the
+terminal profile only.
 """
 
 from __future__ import annotations
@@ -103,8 +106,7 @@ class Schedule:
         if np.any(expect_fresh != self.fresh.astype(bool)):
             raise AssertionError("fresh flags wrong")
         if self.kind == "improved":
-            if np.any(self.terminal_tau != improved_terminal_profile(self.m)):
-                raise AssertionError("improved terminal profile mismatch")
+            _check_improved_terminal(self.terminal_tau, self.m)
 
 
 def improved_terminal_profile(m: int) -> np.ndarray:
@@ -115,15 +117,31 @@ def improved_terminal_profile(m: int) -> np.ndarray:
 
 def _check_improved_terminal(terminal: np.ndarray, m: int) -> None:
     if np.any(terminal != improved_terminal_profile(m)):
-        raise AssertionError("scheduler produced a wrong terminal profile")
+        raise AssertionError("improved terminal profile mismatch")
 
 
 def build_improved_schedule(m: int) -> Schedule:
-    step_star, terminal, es, el, eh, et = kernels.improved_schedule_events(m)
+    """The improved network's pair stream stored as event arrays, int32 in
+    (step, lo) order."""
+    m = int(m)
+    steps = kernels.ImprovedSteps(m)
+    blocks = []
+    for lo, hi, tau in steps:
+        # one (lo, hi, tau) block per step, pairs ordered by lo
+        order = lo.argsort()
+        block = np.empty((3, lo.size), dtype=np.int32)
+        block[0] = lo[order]
+        block[1] = hi[order]
+        block[2] = tau[order]
+        blocks.append(block)
+    counts = [b.shape[1] for b in blocks]
+    el, eh, et = np.concatenate(blocks, axis=1)
+    del blocks  # release the per-step blocks before the step column is built
+    es = np.repeat(np.arange(steps.step_star, dtype=np.int32), counts)
     fresh = ((et == 0) & (es != 0)).astype(np.uint8)
-    _check_improved_terminal(terminal, m)
-    return Schedule("improved", int(m), 2 * int(m), int(step_star),
-                    es, el, eh, et, fresh, terminal)
+    _check_improved_terminal(steps.terminal, m)
+    return Schedule("improved", m, 2 * m, steps.step_star, es, el, eh, et, fresh,
+                    steps.terminal)
 
 
 def improved_schedule_stats(m: int) -> tuple[int, np.ndarray]:

@@ -17,15 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .flow import flow_exact
 from .hamiltonian import Spectrum, spectral_stats
 from .quantum import (
     DensityOperator,
     LowRankDensity,
     PureState,
     _check_dims,
+    _interleave,
     energy_moments,
     evolve_phase,
     partial_trace,
+    state_to_json,
     survival,
 )
 
@@ -147,8 +150,6 @@ def expand_short_time(phi0: PureState, spec: Spectrum, dt: float) -> tuple[Densi
     ({H^2,P} - 2 HPH in expanded form), the one that matches the dense
     oracle; see the regression check in :mod:`swapcool.verify`.
     """
-    from .flow import flow_exact
-
     _check_dims(phi0, spec)
     span = spectral_stats(spec).span
     if abs(dt) * span > 0.5:
@@ -168,8 +169,6 @@ def transfer_first_order(phi0: PureState, spec: Spectrum, dt: float) -> tuple[fl
 
 
 def protocol_output_to_json(out: ProtocolOutput) -> dict:
-    from .quantum import _interleave, state_to_json
-
     if not isinstance(out.rho_a, LowRankDensity):
         raise TypeError("JSON form is defined for rank-2 protocol output")
     return {

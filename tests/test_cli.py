@@ -199,6 +199,13 @@ def test_xi_command(tmp_path):
     assert b8[0][4] == b8[1][4]
 
 
+@pytest.mark.parametrize("alphas", [",", "", "1,-1"])
+def test_xi_bad_alphas_exit_2_no_files(tmp_path, alphas):
+    out = str(tmp_path / "o")
+    assert main(["xi", "--alphas", alphas, "--out", out]) == 2
+    assert not os.path.exists(out)
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model=a\ndims=4,8\ndelta=1.0\n")

@@ -55,20 +55,20 @@ def reference_coefficients(m, events):
 @pytest.mark.parametrize("m", MS)
 def test_schedule_events_match_reference(m):
     ref_star, ref_terminal, ref_events = reference_events(m)
-    step_star, terminal, es, el, eh, et = kernels.improved_schedule_events(m)
-    assert step_star == ref_star
-    np.testing.assert_array_equal(terminal, ref_terminal)
-    np.testing.assert_array_equal(np.stack([es, el, eh, et], axis=1),
-                                  np.asarray(ref_events).reshape(-1, 4))
+    sched = network.build_improved_schedule(m)
+    assert sched.step_star == ref_star
+    np.testing.assert_array_equal(sched.terminal_tau, ref_terminal)
+    np.testing.assert_array_equal(
+        np.stack([sched.step, sched.lo, sched.hi, sched.tau_common], axis=1),
+        np.asarray(ref_events).reshape(-1, 4))
 
 
 @pytest.mark.parametrize("m", MS)
 def test_accumulate_matches_reference(m):
     _, _, ref_events = reference_events(m)
-    _, _, es, el, eh, et = kernels.improved_schedule_events(m)
-    fresh = ((et == 0) & (es != 0)).astype(np.uint8)
-    blocks = ((el[s0:s1], eh[s0:s1], et[s0:s1], fresh[s0:s1])
-              for s0, s1 in kernels.step_blocks(es))
+    sched = network.build_improved_schedule(m)
+    blocks = ((sched.lo[s0:s1], sched.hi[s0:s1], sched.tau_common[s0:s1], sched.fresh[s0:s1])
+              for s0, s1 in kernels.step_blocks(sched.step))
     k = kernels.accumulate_rows(2 * m, m, blocks)
     np.testing.assert_array_equal(k, reference_coefficients(m, ref_events))
 
@@ -117,25 +117,31 @@ def test_stepper_step_limit(monkeypatch):
     with pytest.raises(RuntimeError, match="failed to terminate"):
         network.improved_coefficients(2)
     with pytest.raises(RuntimeError, match="failed to terminate"):
-        kernels.improved_schedule_events(2)
+        network.build_improved_schedule(2)
+    with pytest.raises(RuntimeError, match="failed to terminate"):
+        kernels.improved_schedule_stats_many([2])
+    with pytest.raises(RuntimeError, match="failed to terminate"):
+        network.improved_schedule_stats(2)
 
 
 def test_schedule_events_rejects_bad_m():
     with pytest.raises(ValueError):
-        kernels.improved_schedule_events(0)
+        network.build_improved_schedule(0)
     with pytest.raises(ValueError):
         network.improved_coefficients(0)
 
 
 def test_lockstep_stats_match_per_m_loop():
-    ms = list(range(1, 41)) + [64]
-    batched = kernels.improved_schedule_stats_many(ms)
-    assert len(batched) == len(ms)
-    for m, (step_star, terminal) in zip(ms, batched):
-        ref_star, ref_terminal, _ = reference_events(m)
-        assert step_star == ref_star, m
-        np.testing.assert_array_equal(terminal, ref_terminal)
-        assert terminal.dtype == np.int64
+    # the unsorted list with a repeat pads rows that retire out of order
+    for ms in (list(range(1, 41)) + [64], [7, 3, 7, 1, 64, 2]):
+        batched = kernels.improved_schedule_stats_many(ms)
+        assert len(batched) == len(ms)
+        for m, (step_star, terminal) in zip(ms, batched):
+            ref_star, ref_terminal, _ = reference_events(m)
+            assert step_star == ref_star, m
+            np.testing.assert_array_equal(terminal, ref_terminal)
+            assert terminal.dtype == np.int64
+    assert kernels.improved_schedule_stats_many([]) == []
 
 
 def test_lockstep_stats_rejects_bad_m():

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from swapcool import experiments, kernels
+from swapcool import experiments
 from swapcool import network as network_mod
 from swapcool.cli import main as cli_main
 from swapcool.hamiltonian import Spectrum, build_model
@@ -605,7 +605,9 @@ def test_coefficients_json_round_trip():
                          ids=["coeffs_dataset", "base_coefficient_matrix"])
 def test_coefficient_path_never_holds_the_event_stream(build):
     # building the event arrays first peaked at 1.78x their size; streamed, 0.19-0.28x
-    events = sum(a.nbytes for a in kernels.improved_schedule_events(64)[2:])
+    sched = build_improved_schedule(64)
+    events = sum(a.nbytes for a in (sched.step, sched.lo, sched.hi, sched.tau_common))
+    del sched
     tracemalloc.start()
     try:
         build(64)

@@ -26,6 +26,7 @@ from .hamiltonian import (
 )
 from .experiments import RunManifest, StageTimer, write_atomic, write_manifest
 from .network import (
+    IMPROVED_MAX_M,
     build_improved_schedule,
     build_tournament_schedule,
     check_tournament_n,
@@ -61,11 +62,11 @@ def parse_dims(text: str) -> list[int]:
     return dims
 
 
-def parse_int_list(text: str, least: int) -> list[int]:
-    """A comma list of one or more ints, each >= least."""
+def parse_int_list(text: str, least: int, most: float = float("inf")) -> list[int]:
+    """A comma list of one or more ints, each in [least, most]."""
     values = [int(tok) for tok in text.split(",") if tok.strip()]
-    if not values or min(values) < least:
-        raise ValueError(f"need one or more values, each >= {least}, got {text!r}")
+    if not values or min(values) < least or max(values) > most:
+        raise ValueError(f"need one or more values, each in [{least}, {most}], got {text!r}")
     return values
 
 
@@ -112,8 +113,9 @@ SETTINGS = {
     "target_c": Setting("--target-c", "0.99", float, "trajectory reaches past t_c of this target"),
     "alphas": Setting("--alphas", "1,2,3,4", partial(parse_int_list, least=0),
                       "comma list, each >= 0"),
-    "m_list": Setting("--m", "16,32,64,128", partial(parse_int_list, least=1),
-                      "comma list of m values, each >= 1"),
+    "m_list": Setting("--m", "16,32,64,128",
+                      partial(parse_int_list, least=1, most=IMPROVED_MAX_M),
+                      f"comma list of m values, each in [1, {IMPROVED_MAX_M}]"),
     "seed": Setting("--seed", "0", int, "seed of the randomised checks"),
     "out": Setting("--out", "out", str, "output directory"),
 }

@@ -25,7 +25,7 @@ from .flow import flow_series, t_c_bounds
 from .network import (
     CoefficientMatrix,
     check_scaling_law,
-    improved_coefficients,
+    propagate_coefficients,
     rescaled_frame,
     scaling_cut_positions,
     xi_result,
@@ -118,10 +118,9 @@ def _cut_csvs(matrices: dict[int, CoefficientMatrix]) -> dict[str, str]:
 
 def coeffs_dataset(m_list) -> CoeffsDataset:
     m_list = sorted(m_list)
-    matrices = {}
-    step_stars = {}
-    for m in m_list:
-        matrices[m], step_stars[m] = improved_coefficients(m)
+    runs = [kernels.ImprovedSteps(m) for m in m_list]
+    matrices = {run.m: propagate_coefficients(run) for run in runs}
+    step_stars = {run.m: run.step_star for run in runs}
     m0 = m_list[0]
     reports = []
     for m in m_list[1:]:
@@ -179,7 +178,7 @@ def xi_rows_to_csv(rows: list[XiRow]) -> str:
 
 
 def base_coefficient_matrix(m: int = XI_BASE_M) -> CoefficientMatrix:
-    return improved_coefficients(m)[0]
+    return propagate_coefficients(kernels.ImprovedSteps(m))
 
 
 # --- manifest & atomic output ---------------------------------------------------

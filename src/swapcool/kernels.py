@@ -8,12 +8,11 @@ step is a few array operations, both for generating the events and for
 accumulating the coefficient rows.
 
 One chip-firing loop, ``_lockstep``, steps any number of networks side by
-side, and it has three consumers.  ``ImprovedSteps`` runs one network and
-hands out its pairs step by step: the pair stream, which the coefficient
-accumulation takes as the network fires it.  ``network.build_improved_schedule``
-stores that stream as the schedule's event arrays.
-``improved_schedule_stats_many`` drains the loop for many m at once and
-keeps only each step* and terminal profile.
+side.  ``ImprovedSteps`` runs one network and hands out its pairs step by
+step as (lo, hi, tau, fresh) blocks, the same blocks a stored
+``network.Schedule`` yields, so ``accumulate_rows`` takes either kind of
+run.  ``improved_schedule_stats_many`` drains the loop for many m at once
+and keeps only each step* and terminal profile.
 
 Each system is one packed key ``(tau + offset) << cb | index``.  Sorting the
 keys orders them by (tau, index); a pair moves its lower key down one tau and
@@ -106,49 +105,53 @@ def _lockstep(ms, results):
             raise RuntimeError("pairing schedule failed to terminate")
 
 
+def improved_terminal_profile(m: int) -> np.ndarray:
+    """Closed-form terminal tau of the improved network (0-based systems)."""
+    i = np.arange(2 * m)
+    return np.where(i < m, i - m, i - m + 1).astype(np.int64)
+
+
 class ImprovedSteps:
     """The improved network for 2m systems: the one-row case of the
     lock-step loop.
 
-    Iterating runs the network once and yields, step by step, the int arrays
-    (lo, hi, tau) of that step's pairs in firing order (by tau, then index),
-    tau being the pair's common tau before the step.  Once the iteration has
-    ended, ``step_star`` holds the number of steps and ``terminal`` the int64
-    terminal tau of every system.
+    Iterating runs the network once and yields, step by step, the arrays
+    (lo, hi, tau, fresh) of that step's pairs in firing order (by tau, then
+    index), tau being the pair's common tau before the step and fresh
+    marking a pair that meets at tau = 0 after the first step.  Once drained
+    it holds ``n_pairs``, ``step_star`` and the int64 ``terminal_tau``,
+    checked against the closed form.
     """
 
     def __init__(self, m: int):
         self.m = int(m)
-        self.step_star = None
-        self.terminal = None
+        self.n_systems = 2 * self.m
+        self.n_pairs = self.step_star = self.terminal_tau = None
 
     def __iter__(self):
-        n = 2 * self.m
-        cb = _key_layout(n)[0]
+        cb = _key_layout(self.n_systems)[0]
         mask = (1 << cb) - 1
         results = [None]
-        for keys, hi in _lockstep([self.m], results):
+        self.n_pairs = 0
+        for step, (keys, hi) in enumerate(_lockstep([self.m], results)):
             hp = np.flatnonzero(hi)
+            self.n_pairs += hp.size
             # the higher key has already moved up one tau
             upper = keys[hp]
-            yield keys[hp - 1] & mask, upper & mask, (upper >> cb) - (n + 1)
-        self.step_star, self.terminal = results[0]
-
-
-def step_blocks(step):
-    """Iterator over (start, stop) of every run of equal entries in a step
-    column, in order: the events of one network step when the column is
-    sorted.  An empty column gives one empty block."""
-    bounds = (np.flatnonzero(step[1:] != step[:-1]) + 1).tolist()
-    return zip([0] + bounds, bounds + [step.size])
+            tau = (upper >> cb) - (self.n_systems + 1)
+            yield keys[hp - 1] & mask, upper & mask, tau, (tau == 0) & (step > 0)
+        self.step_star, self.terminal_tau = results[0]
+        if np.any(self.terminal_tau != improved_terminal_profile(self.m)):
+            raise AssertionError("improved terminal profile mismatch")
 
 
 def accumulate_rows(n_systems, m, blocks):
     """Propagate deviation-coefficient rows through a network's pair events.
 
     ``blocks`` yields the (lo, hi, tau, fresh) arrays of one step at a time,
-    in step order.  Each pair resets both rows when flagged fresh, then sets
-    both to the row mean plus a unit at the column of the pair's common tau.
+    in step order, as a ``network.Schedule`` or an ``ImprovedSteps`` does.
+    Each pair resets both rows when flagged fresh, then sets both to the row
+    mean plus a unit at the column of the pair's common tau.
     The pairs of one step must be disjoint (``Schedule.validate`` checks it);
     then the whole step is one gather, mean and scatter, with the same
     floating-point operations as a loop over its pairs in any order.

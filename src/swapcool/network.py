@@ -15,10 +15,11 @@ in 1-based labels, with step* = O(m^2).
 Each protocol application deposits one unit of second-order deviation at the
 pair's common tau and averages whatever the two systems had accumulated; the
 resulting coefficient rows depend only on the schedule, never on the
-Hamiltonian.  The improved network is stepped one whole network step at a
-time by the single chip-firing loop of :mod:`swapcool.kernels`, which has
-three consumers: improved_coefficients accumulates the pair stream as the
-network fires it, without the event stream; build_improved_schedule stores
+Hamiltonian.  A network run is anything that yields its pairs one step at a
+time as (lo, hi, tau, fresh) blocks and knows its m and n_systems: a stored
+Schedule, or the kernels.ImprovedSteps stream that the chip-firing loop of
+:mod:`swapcool.kernels` fires one whole network step at a time.
+propagate_coefficients accumulates either; build_improved_schedule stores
 the stream as event arrays; improved_schedule_stats keeps step* and the
 terminal profile only.
 """
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .kernels import improved_terminal_profile
 from .hamiltonian import Spectrum
 from .protocol import deviation_term, protocol_unitary
 from .quantum import DensityOperator, PureState, _check_dims
@@ -40,6 +42,7 @@ EXACT_ORACLE_JOINT_CAP = 1024
 EXACT_ORACLE_ENERGY_TOL = 1e-10
 PREDICT_DIM_CAP = 64
 TOURNAMENT_MAX_N = 20   # 2^20 systems, about a million pair events (as at m=128)
+IMPROVED_MAX_M = 256    # the largest m whose schedule criterion 08 verifies; 5.6 M pair events
 JSON_BLOCK_PAIRS = 1 << 15   # pair events encoded per block of the schedule JSON
 
 
@@ -49,6 +52,7 @@ class Schedule:
 
     Indices are 0-based; ``tau_common`` is the shared tau at pairing time and
     ``fresh`` marks pairs reset to the initial state before the protocol.
+    Iterating yields its steps as (lo, hi, tau, fresh) column slices.
     """
 
     kind: str
@@ -65,6 +69,11 @@ class Schedule:
     @property
     def n_pairs(self) -> int:
         return int(self.step.size)
+
+    def __iter__(self):
+        bounds = (np.flatnonzero(self.step[1:] != self.step[:-1]) + 1).tolist()
+        for s0, s1 in zip([0] + bounds, bounds + [self.step.size]):
+            yield self.lo[s0:s1], self.hi[s0:s1], self.tau_common[s0:s1], self.fresh[s0:s1]
 
     def validate(self) -> None:
         """Replay the events one step at a time and check the pairing rules;
@@ -93,40 +102,30 @@ class Schedule:
             raise AssertionError("pairs within a step are not disjoint")
         del members
         tau = np.zeros(self.n_systems, dtype=np.int64)
-        for s0, s1 in kernels.step_blocks(self.step):
-            lo, hi, common = self.lo[s0:s1], self.hi[s0:s1], self.tau_common[s0:s1]
+        first = 0    # the step's first event
+        for lo, hi, common, _ in self:
             if (tau[lo] != common).any() or (tau[hi] != common).any():
                 raise AssertionError(
-                    f"paired systems disagree on tau at step {int(self.step[s0])}")
+                    f"paired systems disagree on tau at step {int(self.step[first])}")
             tau[lo] = common - 1
             tau[hi] = common + 1
+            first += lo.size
         if np.any(tau != self.terminal_tau):
             raise AssertionError("terminal tau profile mismatch")
         expect_fresh = (self.tau_common == 0) & (self.step != 0)
         if np.any(expect_fresh != self.fresh.astype(bool)):
             raise AssertionError("fresh flags wrong")
-        if self.kind == "improved":
-            _check_improved_terminal(self.terminal_tau, self.m)
-
-
-def improved_terminal_profile(m: int) -> np.ndarray:
-    """Closed-form terminal tau of the improved network (0-based systems)."""
-    i = np.arange(2 * m)
-    return np.where(i < m, i - m, i - m + 1).astype(np.int64)
-
-
-def _check_improved_terminal(terminal: np.ndarray, m: int) -> None:
-    if np.any(terminal != improved_terminal_profile(m)):
-        raise AssertionError("improved terminal profile mismatch")
+        if self.kind == "improved" and np.any(
+                self.terminal_tau != improved_terminal_profile(self.m)):
+            raise AssertionError("improved terminal profile mismatch")
 
 
 def build_improved_schedule(m: int) -> Schedule:
     """The improved network's pair stream stored as event arrays, int32 in
     (step, lo) order."""
-    m = int(m)
     steps = kernels.ImprovedSteps(m)
     blocks = []
-    for lo, hi, tau in steps:
+    for lo, hi, tau, _ in steps:
         # one (lo, hi, tau) block per step, pairs ordered by lo
         order = lo.argsort()
         block = np.empty((3, lo.size), dtype=np.int32)
@@ -139,9 +138,8 @@ def build_improved_schedule(m: int) -> Schedule:
     del blocks  # release the per-step blocks before the step column is built
     es = np.repeat(np.arange(steps.step_star, dtype=np.int32), counts)
     fresh = ((et == 0) & (es != 0)).astype(np.uint8)
-    _check_improved_terminal(steps.terminal, m)
-    return Schedule("improved", m, 2 * m, steps.step_star, es, el, eh, et, fresh,
-                    steps.terminal)
+    return Schedule("improved", steps.m, steps.n_systems, steps.step_star, es, el, eh, et,
+                    fresh, steps.terminal_tau)
 
 
 def improved_schedule_stats(m: int) -> tuple[int, np.ndarray]:
@@ -194,24 +192,10 @@ class CoefficientMatrix:
         return "\n".join(lines) + "\n"
 
 
-def propagate_coefficients(sched: Schedule) -> CoefficientMatrix:
-    blocks = ((sched.lo[s0:s1], sched.hi[s0:s1], sched.tau_common[s0:s1], sched.fresh[s0:s1])
-              for s0, s1 in kernels.step_blocks(sched.step))
-    return CoefficientMatrix(sched.m, kernels.accumulate_rows(sched.n_systems, sched.m, blocks))
-
-
-def improved_coefficients(m: int) -> tuple[CoefficientMatrix, int]:
-    """(K, step*) of the improved network for 2m systems, the same as
-    propagate_coefficients(build_improved_schedule(m)) and its step*.  Each
-    step's pairs go into the accumulation as the network fires them, so the
-    event stream is never held."""
-    m = int(m)
-    steps = kernels.ImprovedSteps(m)
-    # a pair meeting at tau = 0 after the first step is replaced by fresh states
-    blocks = ((lo, hi, tau, (tau == 0) & (s > 0)) for s, (lo, hi, tau) in enumerate(steps))
-    kmat = CoefficientMatrix(m, kernels.accumulate_rows(2 * m, m, blocks))
-    _check_improved_terminal(steps.terminal, m)
-    return kmat, steps.step_star
+def propagate_coefficients(run) -> CoefficientMatrix:
+    """K of a network run: a stored Schedule, or a kernels.ImprovedSteps
+    stream accumulated as the network fires it, never holding the events."""
+    return CoefficientMatrix(run.m, kernels.accumulate_rows(run.n_systems, run.m, run))
 
 
 def rescale_row(base: CoefficientMatrix, m: int) -> np.ndarray:
@@ -513,4 +497,11 @@ def coefficients_to_json(kmat: CoefficientMatrix) -> bytearray:
 
 
 def coefficients_from_json(obj: dict) -> CoefficientMatrix:
-    return CoefficientMatrix(int(obj["m"]), np.asarray(obj["k"], dtype=float))
+    """ValueError unless ``obj`` holds an integer m >= 1 and numbers k of shape (2m, 2m+1)."""
+    m = obj.get("m") if isinstance(obj, dict) else None
+    if type(m) is not int or m < 1:
+        raise ValueError("coefficient JSON needs an object with an integer m >= 1")
+    k = np.asarray(obj.get("k"))
+    if k.dtype.kind not in "iuf" or k.shape != (2 * m, 2 * m + 1):
+        raise ValueError(f"coefficient JSON needs a numeric k of shape ({2 * m}, {2 * m + 1})")
+    return CoefficientMatrix(m, k.astype(float, copy=False))

@@ -147,6 +147,17 @@ def test_schedule_tournament_out_of_range_exit_2_no_files(tmp_path, monkeypatch,
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", ["schedule", "coeffs"])
+def test_m_above_max_exit_2_no_files(tmp_path, monkeypatch, command):
+    def refuse(m):
+        raise AssertionError("m is checked before any network runs")
+
+    monkeypatch.setattr("swapcool.kernels.ImprovedSteps", refuse)
+    out = str(tmp_path / "o")
+    assert main([command, "--m", "4,257", "--out", out]) == 2
+    assert not os.path.exists(out)
+
+
 def test_coeffs_command(tmp_path):
     out = str(tmp_path / "o")
     assert main(["coeffs", "--m", "4,8", "--out", out]) == 0
@@ -204,6 +215,18 @@ def test_xi_bad_alphas_exit_2_no_files(tmp_path, alphas):
     out = str(tmp_path / "o")
     assert main(["xi", "--alphas", alphas, "--out", out]) == 2
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("payload", [{"k": [[0, 1, 0], [0, 1, 0]]}, [1, 2],
+                                     {"m": 1, "k": [[0, 1, 0]]}],
+                         ids=["missing-m", "top-level-list", "wrong-shape"])
+def test_xi_malformed_k_base_exit_2_no_xi(tmp_path, payload):
+    out = tmp_path / "o"
+    base = tmp_path / "K.json"
+    base.write_text(json.dumps(payload))
+    assert main(["xi", "--model", "b", "--dims", "8", "--k-base", str(base),
+                 "--out", str(out)]) == 2
+    assert not (out / "xi.csv").exists()
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -66,10 +66,7 @@ def test_schedule_events_match_reference(m):
 @pytest.mark.parametrize("m", MS)
 def test_accumulate_matches_reference(m):
     _, _, ref_events = reference_events(m)
-    sched = network.build_improved_schedule(m)
-    blocks = ((sched.lo[s0:s1], sched.hi[s0:s1], sched.tau_common[s0:s1], sched.fresh[s0:s1])
-              for s0, s1 in kernels.step_blocks(sched.step))
-    k = kernels.accumulate_rows(2 * m, m, blocks)
+    k = kernels.accumulate_rows(2 * m, m, network.build_improved_schedule(m))
     np.testing.assert_array_equal(k, reference_coefficients(m, ref_events))
 
 
@@ -78,35 +75,40 @@ def test_streamed_steps_match_reference(m):
     ref_star, ref_terminal, ref_events = reference_events(m)
     steps = kernels.ImprovedSteps(m)
     events = sorted((s, lo, hi, t) for s, block in enumerate(steps)
-                    for lo, hi, t in zip(*(a.tolist() for a in block)))
+                    for lo, hi, t in zip(*(a.tolist() for a in block[:3])))
     assert events == ref_events
     assert steps.step_star == ref_star
-    np.testing.assert_array_equal(steps.terminal, ref_terminal)
-    kmat, step_star = network.improved_coefficients(m)
-    assert step_star == ref_star
+    assert steps.n_pairs == len(ref_events)
+    np.testing.assert_array_equal(steps.terminal_tau, ref_terminal)
+    steps = kernels.ImprovedSteps(m)
+    kmat = network.propagate_coefficients(steps)
+    assert steps.step_star == ref_star
     np.testing.assert_array_equal(kmat.k, reference_coefficients(m, ref_events))
 
 
 @pytest.mark.parametrize("m", list(range(1, 41)) + [64])
 def test_streamed_path_matches_materialised(m):
     sched = network.build_improved_schedule(m)
-    kmat, step_star = network.improved_coefficients(m)
-    assert kmat.m == m
-    assert step_star == sched.step_star
-    np.testing.assert_array_equal(kmat.k, network.propagate_coefficients(sched).k)
     steps = kernels.ImprovedSteps(m)
-    for _ in steps:
-        pass
-    assert steps.step_star == sched.step_star
-    np.testing.assert_array_equal(steps.terminal, sched.terminal_tau)
-    assert steps.terminal.dtype == np.int64
+    kmat = network.propagate_coefficients(steps)
+    assert kmat.m == m
+    assert (steps.n_systems, steps.n_pairs, steps.step_star) == (
+        sched.n_systems, sched.n_pairs, sched.step_star)
+    np.testing.assert_array_equal(kmat.k, network.propagate_coefficients(sched).k)
+    np.testing.assert_array_equal(steps.terminal_tau, sched.terminal_tau)
+    assert steps.terminal_tau.dtype == np.int64
+    # both kinds of run yield the same (lo, hi, tau, fresh) steps
+    for streamed, stored in zip(kernels.ImprovedSteps(m), sched, strict=True):
+        order = streamed[0].argsort()
+        for a, b in zip(streamed, stored, strict=True):
+            np.testing.assert_array_equal(a[order], b)
 
 
 def test_streamed_path_checks_terminal_profile(monkeypatch):
-    closed_form = network.improved_terminal_profile
-    monkeypatch.setattr(network, "improved_terminal_profile", lambda m: closed_form(m) + 1)
+    closed_form = kernels.improved_terminal_profile
+    monkeypatch.setattr(kernels, "improved_terminal_profile", lambda m: closed_form(m) + 1)
     with pytest.raises(AssertionError, match="terminal profile"):
-        network.improved_coefficients(4)
+        network.propagate_coefficients(kernels.ImprovedSteps(4))
     with pytest.raises(AssertionError, match="terminal profile"):
         network.build_improved_schedule(4)
 
@@ -115,7 +117,7 @@ def test_stepper_step_limit(monkeypatch):
     # pairs that never move their keys: the network would fire forever
     monkeypatch.setattr(kernels, "_fire", lambda keys, cb, width, pos, new_run: pos & 1)
     with pytest.raises(RuntimeError, match="failed to terminate"):
-        network.improved_coefficients(2)
+        network.propagate_coefficients(kernels.ImprovedSteps(2))
     with pytest.raises(RuntimeError, match="failed to terminate"):
         network.build_improved_schedule(2)
     with pytest.raises(RuntimeError, match="failed to terminate"):
@@ -128,7 +130,7 @@ def test_schedule_events_rejects_bad_m():
     with pytest.raises(ValueError):
         network.build_improved_schedule(0)
     with pytest.raises(ValueError):
-        network.improved_coefficients(0)
+        network.propagate_coefficients(kernels.ImprovedSteps(0))
 
 
 def test_lockstep_stats_match_per_m_loop():
@@ -159,14 +161,13 @@ def test_accumulate_column_bounds_asserted():
             kernels.accumulate_rows(2, 1, [(lo, hi, tau, fresh)])
 
 
-def test_streamed_column_bounds_asserted(monkeypatch):
+def test_streamed_column_bounds_asserted():
     class ShiftedSteps(kernels.ImprovedSteps):
         """The real steps with every tau moved past the last column."""
 
         def __iter__(self):
-            for lo, hi, tau in super().__iter__():
-                yield lo, hi, tau + 2 * self.m
+            for lo, hi, tau, fresh in super().__iter__():
+                yield lo, hi, tau + 2 * self.m, fresh
 
-    monkeypatch.setattr(kernels, "ImprovedSteps", ShiftedSteps)
     with pytest.raises(AssertionError, match="column out of range"):
-        network.improved_coefficients(3)
+        network.propagate_coefficients(ShiftedSteps(3))

@@ -1,6 +1,7 @@
 """The benchmark tracer names package functions by string; a renamed function
 would leave its layer metric reading 0 without any error.  This checks every
-name against the package, without installing the tracer."""
+name against the package, and that the installed tracer counts the pairs of
+the coefficient path."""
 
 import importlib
 import importlib.util
@@ -18,7 +19,8 @@ def _load_tracer():
     return module
 
 
-TARGETS = _load_tracer().TARGETS
+TRACER = _load_tracer()
+TARGETS = TRACER.TARGETS
 
 
 @pytest.mark.parametrize("module_name, attr",
@@ -30,3 +32,14 @@ def test_tracer_target_resolves(module_name, attr):
         owner = getattr(owner, part, None)
         assert owner is not None, f"{module_name}.{attr} does not resolve"
     assert callable(owner)
+
+
+def test_tracer_counts_the_coefficient_path():
+    # a run object without n_pairs would raise inside every traced iteration
+    from swapcool import experiments, network
+
+    with TRACER.Tracer("coeffs") as tracer:
+        experiments.coeffs_dataset([2, 4, 8])
+    assert tracer.counts["network.accumulated_pairs"] == sum(
+        network.build_improved_schedule(m).n_pairs for m in (2, 4, 8)) == 239
+    assert "network.accumulate" in {span[2] for span in tracer.spans}

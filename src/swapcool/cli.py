@@ -174,6 +174,7 @@ def cmd_schedule(cfg: argparse.Namespace, args: argparse.Namespace,
                  manifest: RunManifest) -> int:
     if args.tournament is not None:
         check_tournament_n(args.tournament)
+    manifest.config["tournament"] = args.tournament
     for m in cfg.m_list:
         sched = build_improved_schedule(m)
         sched.validate()
@@ -216,6 +217,7 @@ def cmd_xi(cfg: argparse.Namespace, args: argparse.Namespace,
 
 def cmd_verify(cfg: argparse.Namespace, args: argparse.Namespace,
                manifest: RunManifest) -> int:
+    manifest.config["full"] = args.full
     results = verify.run_verify(seed=cfg.seed, full=args.full)
     report = verify.report_to_json(results)
     write_atomic(os.path.join(cfg.out, "verify_report.json"),

@@ -138,47 +138,60 @@ def _halving_ratios(errs: list[float]) -> list[float]:
     return [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
 
 
-def check_transfer_convergence() -> CheckResult:
-    """Cubic remainder of the linear-response energies under dt halving."""
+def _within(values, bounds) -> bool:
+    lo, hi = bounds
+    return all(lo <= v <= hi for v in values)
+
+
+def _worst(cases) -> tuple[float, str | None]:
+    """The largest of the (value, case) pairs; (0.0, None) when no value is
+    positive."""
+    worst, worst_case = 0.0, None
+    for value, case in cases:
+        if value > worst:
+            worst, worst_case = value, case
+    return worst, worst_case
+
+
+def _models(dims):
+    """(kind, dim, spectrum, its stats, the uniform start) for every model at
+    every dim, at unit energy scale."""
+    for kind in MODEL_KINDS:
+        for dim in dims:
+            spec = build_model(kind, dim, 1.0)
+            yield kind, dim, spec, spectral_stats(spec), uniform_state(dim)
+
+
+def _cubic_per_model(name: str, error) -> CheckResult:
+    """error(phi, spec, dt) per model at dim 8 under dt halving from 0.02/gap;
+    every halving ratio must show a cubic remainder."""
     results = {}
     ok = True
-    for kind in MODEL_KINDS:
-        spec = build_model(kind, 8, 1.0)
-        gap = spectral_stats(spec).gap
-        phi = uniform_state(8)
-        errs = []
-        for factor in (0.02, 0.01, 0.005):
-            dt = factor / gap
-            exact = apply_protocol(phi, spec, dt)
-            pred_a, pred_b = transfer_first_order(phi, spec, dt)
-            errs.append(max(abs(exact.e_a - pred_a), abs(exact.e_b - pred_b)))
+    for kind, _, spec, stats, phi in _models((8,)):
+        errs = [error(phi, spec, factor / stats.gap) for factor in (0.02, 0.01, 0.005)]
         ratios = _halving_ratios(errs)
         results[kind] = {"errors": errs, "ratios": ratios}
-        ok &= all(CUBIC_RATIO_RANGE[0] <= r <= CUBIC_RATIO_RANGE[1] for r in ratios)
-    return CheckResult("transfer_first_order_convergence", ok,
-                       {"per_model": results, "ratio_range": CUBIC_RATIO_RANGE})
+        ok &= _within(ratios, CUBIC_RATIO_RANGE)
+    return CheckResult(name, ok, {"per_model": results, "ratio_range": CUBIC_RATIO_RANGE})
+
+
+def check_transfer_convergence() -> CheckResult:
+    """Cubic remainder of the linear-response energies under dt halving."""
+    def error(phi, spec, dt):
+        exact = apply_protocol(phi, spec, dt)
+        pred_a, pred_b = transfer_first_order(phi, spec, dt)
+        return max(abs(exact.e_a - pred_a), abs(exact.e_b - pred_b))
+    return _cubic_per_model("transfer_first_order_convergence", error)
 
 
 def check_expansion_convergence() -> CheckResult:
     """Cubic remainder of the second-order reduced-state prediction."""
-    results = {}
-    ok = True
-    for kind in MODEL_KINDS:
-        spec = build_model(kind, 8, 1.0)
-        gap = spectral_stats(spec).gap
-        phi = uniform_state(8)
-        errs = []
-        for factor in (0.02, 0.01, 0.005):
-            dt = factor / gap
-            exact = protocol_oracle(phi, spec, dt)
-            pred_a, pred_b = expand_short_time(phi, spec, dt)
-            errs.append(max(_opnorm(exact.rho_a.matrix - pred_a.matrix),
-                            _opnorm(exact.rho_b.matrix - pred_b.matrix)))
-        ratios = _halving_ratios(errs)
-        results[kind] = {"errors": errs, "ratios": ratios}
-        ok &= all(CUBIC_RATIO_RANGE[0] <= r <= CUBIC_RATIO_RANGE[1] for r in ratios)
-    return CheckResult("short_time_expansion_convergence", ok,
-                       {"per_model": results, "ratio_range": CUBIC_RATIO_RANGE})
+    def error(phi, spec, dt):
+        exact = protocol_oracle(phi, spec, dt)
+        pred_a, pred_b = expand_short_time(phi, spec, dt)
+        return max(_opnorm(exact.rho_a.matrix - pred_a.matrix),
+                   _opnorm(exact.rho_b.matrix - pred_b.matrix))
+    return _cubic_per_model("short_time_expansion_convergence", error)
 
 
 def check_printed_variant_guard() -> CheckResult:
@@ -206,7 +219,7 @@ def check_printed_variant_guard() -> CheckResult:
                 trace_defect.append(abs(np.trace(pred).real - 1.0))
     derived_ratios = _halving_ratios(errs[2])
     printed_ratios = _halving_ratios(errs[1])
-    ok = (all(CUBIC_RATIO_RANGE[0] <= r <= CUBIC_RATIO_RANGE[1] for r in derived_ratios)
+    ok = (_within(derived_ratios, CUBIC_RATIO_RANGE)
           and all(r < CUBIC_RATIO_RANGE[0] for r in printed_ratios)
           and all(d > 0 for d in trace_defect))
     return CheckResult("printed_variant_guard", ok,
@@ -217,21 +230,15 @@ def check_printed_variant_guard() -> CheckResult:
 
 def check_rk4_vs_exact(dims=ACCEPT_DIMS) -> CheckResult:
     """Integrator cross-check on every model and dim up to t_c(0.99)."""
-    worst = 0.0
-    worst_case = None
-    for kind in MODEL_KINDS:
-        for dim in dims:
-            spec = build_model(kind, dim, 1.0)
-            stats = spectral_stats(spec)
-            h = 0.01 / stats.gap
+    def cases():
+        for kind, dim, spec, stats, phi in _models(dims):
             _, t_end = t_c_bounds(dim, stats.gap, stats.span, 0.99,
                                   stats.ground_degeneracy)
-            phi = uniform_state(dim)
             diff = float(np.linalg.norm(
-                flow_rk4(phi, spec, t_end, h).amplitudes
+                flow_rk4(phi, spec, t_end, 0.01 / stats.gap).amplitudes
                 - flow_exact(phi, spec, t_end).amplitudes))
-            if diff > worst:
-                worst, worst_case = diff, f"{kind}/{dim}"
+            yield diff, f"{kind}/{dim}"
+    worst, worst_case = _worst(cases())
     spec8 = build_model("a", 8, 1.0)
     p1_ln7, _ = ground_probability(flow_exact(uniform_state(8), spec8, np.log(7.0)), spec8)
     # measured convergence order of the integrator itself
@@ -242,7 +249,7 @@ def check_rk4_vs_exact(dims=ACCEPT_DIMS) -> CheckResult:
             for h in (0.04, 0.02, 0.01)]
     ratios = _halving_ratios(errs)
     ok = (worst <= RK4_AGREE_TOL and abs(p1_ln7 - 0.5) <= P1_LN7_TOL
-          and all(RK4_RATIO_RANGE[0] <= r <= RK4_RATIO_RANGE[1] for r in ratios))
+          and _within(ratios, RK4_RATIO_RANGE))
     return CheckResult("rk4_vs_exact", ok,
                        {"max_difference": worst, "worst_case": worst_case,
                         "tolerance": RK4_AGREE_TOL, "p1_at_ln7": p1_ln7,
@@ -253,25 +260,20 @@ def check_logistic_sandwich(dims=ACCEPT_DIMS, points: int = 400) -> CheckResult:
     """Ground-subspace population between the gap- and span-rate logistics on
     a grid to twice t_c(0.99); for the gap==span model the curves must pin
     the population to round-off."""
-    worst_violation = 0.0
-    worst_case = None
+    violations = []
     worst_coincide = 0.0
-    for kind in MODEL_KINDS:
-        for dim in dims:
-            spec = build_model(kind, dim, 1.0)
-            stats = spectral_stats(spec)
-            _, t_c = t_c_bounds(dim, stats.gap, stats.span, 0.99,
-                                stats.ground_degeneracy)
-            times = np.linspace(0.0, 2.0 * t_c, points)
-            series = flow_series(uniform_state(dim), spec, times)
-            pg, lower, upper = series.p_ground, series.lower_bound, series.upper_bound
-            violation = np.maximum(lower - pg, pg - upper)
-            i = int(np.argmax(violation))
-            if violation[i] > worst_violation:
-                worst_violation, worst_case = float(violation[i]), f"{kind}/{dim}@t={times[i]:.3f}"
-            if kind == "a":
-                worst_coincide = max(worst_coincide, float(np.abs(lower - pg).max()),
-                                     float(np.abs(upper - pg).max()))
+    for kind, dim, spec, stats, phi in _models(dims):
+        _, t_c = t_c_bounds(dim, stats.gap, stats.span, 0.99, stats.ground_degeneracy)
+        times = np.linspace(0.0, 2.0 * t_c, points)
+        series = flow_series(phi, spec, times)
+        pg, lower, upper = series.p_ground, series.lower_bound, series.upper_bound
+        violation = np.maximum(lower - pg, pg - upper)
+        i = int(np.argmax(violation))
+        violations.append((float(violation[i]), f"{kind}/{dim}@t={times[i]:.3f}"))
+        if kind == "a":
+            worst_coincide = max(worst_coincide, float(np.abs(lower - pg).max()),
+                                 float(np.abs(upper - pg).max()))
+    worst_violation, worst_case = _worst(violations)
     ok = worst_violation <= SANDWICH_SLACK and worst_coincide <= MODEL_A_COINCIDE_TOL
     return CheckResult("logistic_sandwich", ok,
                        {"max_violation": worst_violation, "worst_case": worst_case,
@@ -281,21 +283,15 @@ def check_logistic_sandwich(dims=ACCEPT_DIMS, points: int = 400) -> CheckResult:
 def check_t_c_window(dims=ACCEPT_DIMS) -> CheckResult:
     """Measured target-crossing times inside the logistic window, one grid
     step of slack on either side."""
-    worst_excess = 0.0
-    worst_case = None
-    for kind in MODEL_KINDS:
-        for dim in dims:
-            spec = build_model(kind, dim, 1.0)
-            stats = spectral_stats(spec)
+    def cases():
+        for kind, dim, spec, stats, phi in _models(dims):
             grid = 0.01 / stats.gap
-            phi = uniform_state(dim)
             for c in (0.5, 0.9):
                 t_lo, t_hi = t_c_bounds(dim, stats.gap, stats.span, c,
                                         stats.ground_degeneracy)
                 crossing = grid * find_steps_for_p1(phi, spec, c, grid)
-                excess = max(t_lo - crossing, crossing - t_hi) - grid
-                if excess > worst_excess:
-                    worst_excess, worst_case = excess, f"{kind}/{dim}/c={c}"
+                yield max(t_lo - crossing, crossing - t_hi) - grid, f"{kind}/{dim}/c={c}"
+    worst_excess, worst_case = _worst(cases())
     return CheckResult("t_c_window", worst_excess <= 0.0,
                        {"max_excess_beyond_one_step": worst_excess,
                         "worst_case": worst_case})
@@ -305,29 +301,18 @@ def check_schedule_profiles(m_max: int = 256) -> CheckResult:
     """Terminal tau profiles for every m, the two hand-computed step counts,
     and the boundedness of step_star / m^2."""
     t0 = time.perf_counter()
-    ok = True
-    ratios = {}
-    star1 = star2 = None
     stats = kernels.improved_schedule_stats_many(range(1, m_max + 1))
-    for m, (star, terminal) in enumerate(stats, start=1):
-        if np.any(terminal != improved_terminal_profile(m)):
-            ok = False
-        if m == 1:
-            star1 = star
-        if m == 2:
-            star2 = star
-        if m >= 4:
-            ratios[m] = star / m ** 2
+    mismatch = [m for m, (_, terminal) in enumerate(stats, start=1)
+                if np.any(terminal != improved_terminal_profile(m))]
     elapsed = time.perf_counter() - t0
-    ratio_vals = np.array(list(ratios.values()))
-    ok &= star1 == 1 and star2 == 3
-    ok &= bool(np.all((ratio_vals >= STEP_STAR_RATIO_RANGE[0])
-                      & (ratio_vals <= STEP_STAR_RATIO_RANGE[1])))
-    ok &= elapsed < SCHEDULE_SWEEP_SECONDS
+    stars = [star for star, _ in stats]
+    ratios = [star / m ** 2 for m, star in enumerate(stars[3:], start=4)]
+    ok = (not mismatch and stars[:2] == [1, 3] and _within(ratios, STEP_STAR_RATIO_RANGE)
+          and elapsed < SCHEDULE_SWEEP_SECONDS)
     return CheckResult("schedule_terminal_profiles", ok,
-                       {"m_max": m_max, "step_star_1": star1, "step_star_2": star2,
-                        "ratio_min": float(ratio_vals.min()),
-                        "ratio_max": float(ratio_vals.max()),
+                       {"m_max": m_max, "step_star_1": stars[0], "step_star_2": stars[1],
+                        "terminal_mismatch_m": mismatch,
+                        "ratio_min": float(min(ratios)), "ratio_max": float(max(ratios)),
                         "ratio_range": STEP_STAR_RATIO_RANGE, "seconds": elapsed,
                         "seconds_limit": SCHEDULE_SWEEP_SECONDS,
                         "seconds_margin": SCHEDULE_SWEEP_SECONDS - elapsed,
@@ -363,7 +348,7 @@ def check_scaling_and_growth(m_list=(16, 32, 64, 128)) -> CheckResult:
     medians = {}
     ok = True
     for rep in data.reports:
-        medians[f"(16,{rep.m_large})"] = rep.global_median
+        medians[f"({rep.m_small},{rep.m_large})"] = rep.global_median
         ok &= rep.global_median <= SCALING_MEDIAN_BOUND
     m0 = min(m_list)
     base_slope = data.matrices[m0].k[-1].max() / m0
@@ -413,8 +398,7 @@ def check_tiny_network_order() -> CheckResult:
     resid_orders = [float(np.log2(r)) for r in _halving_ratios(pred_errs)]
     uni_first, uni_pred = _tiny_network_distances(spec, uniform_state(2), dts)
     uni_ratios = _halving_ratios(uni_first)
-    ok = all(QUADRATIC_RATIO_RANGE[0] <= r <= QUADRATIC_RATIO_RANGE[1]
-             for r in first_ratios)
+    ok = _within(first_ratios, QUADRATIC_RATIO_RANGE)
     return CheckResult("tiny_network_order", ok,
                        {"dts": list(dts),
                         "first_term_errors": first_errs,
@@ -464,11 +448,12 @@ def check_xi_trends(dims=ACCEPT_DIMS, alphas=(1, 2, 3, 4)) -> CheckResult:
                         f"{kind}/{dim}: |xi| {abs(r0.xi):.3e} -> {abs(r1.xi):.3e} "
                         f"(alpha {r0.alpha} -> {r1.alpha})")
 
-    saturation_ok, saturation_viol = True, []
+    saturation_ok, saturation_viol, increments = True, [], {}
     for kind in ("b", "c", "d"):
         for a in alphas:
             vals = [abs(table[(kind, d, a)].xi) for d in dims]
             inc = np.diff(vals)
+            increments[f"{kind}/alpha={a}"] = inc.tolist()
             bad = np.nonzero(np.diff(inc) > 0)[0]
             if bad.size:
                 saturation_ok = False
@@ -485,31 +470,34 @@ def check_xi_trends(dims=ACCEPT_DIMS, alphas=(1, 2, 3, 4)) -> CheckResult:
             violated_seen |= r.constraint_violated
     flag_ok &= violated_seen
 
-    baselines = _load_xi_baselines()
-    golden_ok = baselines is not None
-    golden_worst = None
-    if baselines is not None:
-        for entry in baselines["rows"]:
-            key = (entry["model"], entry["dim"], entry["alpha"])
-            if key not in table:
-                continue
-            r = table[key]
-            if r.m_alpha != entry["m_alpha"]:
-                golden_ok = False
-            rel = abs(r.xi - entry["xi"]) / max(abs(entry["xi"]), 1e-30)
-            if golden_worst is None or rel > golden_worst:
-                golden_worst = rel
-            if rel > 1e-9 and abs(r.xi - entry["xi"]) > 1e-12:
-                golden_ok = False
+    # a missing file or a sweep with no pinned row fails the golden leg
+    baselines = _load_xi_baselines() or {"rows": []}
+    golden_ok, golden_worst, compared = True, None, 0
+    for entry in baselines["rows"]:
+        key = (entry["model"], entry["dim"], entry["alpha"])
+        if key not in table:
+            continue
+        compared += 1
+        r = table[key]
+        if r.m_alpha != entry["m_alpha"]:
+            golden_ok = False
+        rel = abs(r.xi - entry["xi"]) / max(abs(entry["xi"]), 1e-30)
+        if golden_worst is None or rel > golden_worst:
+            golden_worst = rel
+        if rel > 1e-9 and abs(r.xi - entry["xi"]) > 1e-12:
+            golden_ok = False
+    golden_ok &= compared > 0
 
     return CheckResult("xi_trends", bool(alpha_ok and saturation_ok and flag_ok and golden_ok),
                        {"alpha_monotonic": alpha_ok,
                         "alpha_violations": alpha_viol,
                         "dim_saturation": saturation_ok,
                         "saturation_violations": saturation_viol,
+                        "saturation_increments": increments,
                         "model_a_flagging": bool(flag_ok),
                         "golden_match": golden_ok,
-                        "golden_worst_rel": golden_worst})
+                        "golden_worst_rel": golden_worst,
+                        "golden_rows_compared": compared})
 
 
 def check_min_m_bounds(dims=ACCEPT_DIMS) -> CheckResult:
@@ -571,13 +559,9 @@ FULL_CHECKS = CORE_CHECKS + (
 
 
 def run_verify(seed: int = 0, full: bool = False) -> list[CheckResult]:
-    results = []
-    for fn in (FULL_CHECKS if full else CORE_CHECKS):
-        if fn in (check_protocol_vs_oracle, check_energy_conservation):
-            results.append(fn(seed=seed))
-        else:
-            results.append(fn())
-    return results
+    seeded = (check_protocol_vs_oracle, check_energy_conservation)
+    return [fn(seed=seed) if fn in seeded else fn()
+            for fn in (FULL_CHECKS if full else CORE_CHECKS)]
 
 
 def report_to_json(results: list[CheckResult]) -> dict:

@@ -249,7 +249,7 @@ def test_config_file_unknown_key_exit_2(tmp_path, capsys, line, key):
     assert not out.exists()
 
 
-def test_config_file_keys_of_other_commands_are_accepted(tmp_path):
+def test_config_file_keys_of_other_commands_are_accepted(tmp_path, monkeypatch):
     # one file drives the pipeline: spectrum ignores the m_list and alphas it does not read
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model=a\ndims=4\nm_list=3\nalphas=1,2\n")
@@ -259,6 +259,21 @@ def test_config_file_keys_of_other_commands_are_accepted(tmp_path):
                                           "delta": 1.0, "double": False, "out": out}
     assert main(["coeffs", "--config", str(cfg), "--out", out]) == 0
     assert manifest_of(out)["config"] == {"command": "coeffs", "m_list": [3], "out": out}
+    # the command-only flags that change a run are recorded too
+    assert main(["schedule", "--config", str(cfg), "--out", out]) == 0
+    assert manifest_of(out)["config"] == {"command": "schedule", "m_list": [3], "out": out,
+                                          "tournament": None}
+    assert main(["schedule", "--config", str(cfg), "--tournament", "2", "--out", out]) == 0
+    assert manifest_of(out)["config"] == {"command": "schedule", "m_list": [3], "out": out,
+                                          "tournament": 2}
+    from swapcool import verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "run_verify",
+                        lambda seed=0, full=False: [verify_mod.CheckResult("stub", True, {})])
+    for flags, full in (([], False), (["--full"], True)):
+        assert main(["verify", "--config", str(cfg), "--out", out] + flags) == 0
+        assert manifest_of(out)["config"] == {"command": "verify", "seed": 0, "out": out,
+                                              "full": full}
 
 
 @pytest.mark.parametrize("argv", [

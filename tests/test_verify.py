@@ -1,9 +1,12 @@
 """Verification-suite wiring: verdicts must be stable across seeds and the
 report JSON must carry the measured details."""
 
+import numpy as np
 import pytest
 
 from swapcool import verify
+from swapcool.protocol import deviation_term
+from swapcool.quantum import DensityOperator
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42])
@@ -37,5 +40,71 @@ def test_xi_trends_known_red_leg_is_isolated():
     assert d["alpha_monotonic"] is True
     assert d["model_a_flagging"] is True
     assert d["golden_match"] is True
+    assert d["golden_rows_compared"] > 0
     assert d["dim_saturation"] is False
     assert not res.passed
+    # every criterion-12 series reports its increments, flagged or not
+    series = [f"{kind}/alpha={a}" for kind in "bcd" for a in (1, 2, 3, 4)]
+    assert list(d["saturation_increments"]) == series
+    assert all(len(inc) == len(verify.ACCEPT_DIMS) - 1
+               for inc in d["saturation_increments"].values())
+    flagged = [s.split(":")[0] for s in d["saturation_violations"]]
+    assert set(flagged) <= set(series)
+
+
+def test_xi_golden_leg_fails_with_no_pinned_row(monkeypatch):
+    monkeypatch.setattr(verify, "_load_xi_baselines", lambda: {"rows": []})
+    res = verify.check_xi_trends(dims=(8, 16), alphas=(1, 2))
+    d = res.details
+    assert d["golden_rows_compared"] == 0
+    assert d["golden_match"] is False
+    assert d["golden_worst_rel"] is None
+    assert not res.passed
+
+
+def test_schedule_profiles_name_the_mismatched_m(monkeypatch):
+    clean = verify.check_schedule_profiles(m_max=8)
+    assert clean.passed and clean.details["terminal_mismatch_m"] == []
+    profile = verify.improved_terminal_profile
+
+    def corrupt(m):
+        tau = np.array(profile(m))
+        if m == 3:
+            tau[0] += 1
+        return tau
+
+    monkeypatch.setattr(verify, "improved_terminal_profile", corrupt)
+    res = verify.check_schedule_profiles(m_max=8)
+    assert res.details["terminal_mismatch_m"] == [3]
+    assert not res.passed
+
+
+def test_scaling_medians_keyed_by_smallest_m():
+    res = verify.check_scaling_and_growth((8, 16, 32))
+    assert set(res.details["global_medians"]) == {"(8,16)", "(8,32)"}
+
+
+def _assert_fails_at_second_order(res):
+    assert res.passed is False
+    for kind, per in res.details["per_model"].items():
+        lo, hi = verify.QUADRATIC_RATIO_RANGE
+        assert all(lo <= r <= hi for r in per["ratios"]), (kind, per["ratios"])
+
+
+def test_transfer_check_fails_on_a_second_order_error(monkeypatch):
+    exact = verify.transfer_first_order
+    monkeypatch.setattr(verify, "transfer_first_order",
+                        lambda phi, spec, dt: tuple(e + dt * dt for e in exact(phi, spec, dt)))
+    _assert_fails_at_second_order(verify.check_transfer_convergence())
+
+
+def test_expansion_check_fails_without_the_deviation_term(monkeypatch):
+    expand = verify.expand_short_time
+
+    def first_order_only(phi, spec, dt):
+        dev = deviation_term(spec, phi).matrix
+        return tuple(DensityOperator(rho.matrix + dt * dt * dev)
+                     for rho in expand(phi, spec, dt))
+
+    monkeypatch.setattr(verify, "expand_short_time", first_order_only)
+    _assert_fails_at_second_order(verify.check_expansion_convergence())

@@ -10,21 +10,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
 from . import __version__, experiments, verify
-from .hamiltonian import (
-    MODEL_KINDS,
-    build_model,
-    double,
-    spectrum_to_json,
-    spectrum_to_text,
-)
-from .experiments import RunManifest, StageTimer, write_atomic, write_manifest
+from .hamiltonian import MODEL_KINDS, spectrum_to_json, spectrum_to_text
+from .experiments import RunManifest, write_atomic
 from .network import (
     IMPROVED_MAX_M,
     build_improved_schedule,
@@ -78,21 +74,37 @@ def parse_models(text: str) -> list[str]:
     return models
 
 
+def parse_finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"need a finite number, got {text!r}")
+    return value
+
+
 def parse_dt(text: str) -> float:
-    dt = float(text)
+    dt = parse_finite(text)
     if dt <= 0:
         raise ValueError("dt must be positive")
     return dt
 
 
 def parse_switch(text: str) -> bool:
-    return text.lower() in ("1", "true", "yes")
+    value = text.lower()
+    if value not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"need one of 1/0, true/false, yes/no, got {text!r}")
+    return value in ("1", "true", "yes")
+
+
+def parse_tournament(text: str) -> int:
+    n = int(text)
+    check_tournament_n(n)
+    return n
 
 
 @dataclass(frozen=True)
 class Setting:
-    """A setting's flag, its default (None: the command works the value out
-    per spectrum) and the one parser for flag and config-file text alike;
+    """A setting's flag, its default (None: unset, or worked out per spectrum
+    by the command) and the one parser for flag and config-file text alike;
     config files name it by its key in SETTINGS."""
 
     flag: str
@@ -105,18 +117,26 @@ class Setting:
 SETTINGS = {
     "model": Setting("--model", "a,b,c,d", parse_models, "comma list from {a,b,c,d}"),
     "dims": Setting("--dims", "8..512", parse_dims, "e.g. 8..512 (powers of 2) or 8,16,32"),
-    "delta": Setting("--delta", "1.0", float, "energy scale of the model spectra"),
+    "delta": Setting("--delta", "1.0", parse_finite, "energy scale of the model spectra"),
     "double": Setting("--double", "false", parse_switch,
                       "replace each spectrum by its doubled version", switch=True),
     "dt": Setting("--dt", None, parse_dt, "protocol step; default 0.01/gap"),
-    "t_max": Setting("--t-max", None, float, "trajectory end; default 2 t_c upper bound"),
-    "target_c": Setting("--target-c", "0.99", float, "trajectory reaches past t_c of this target"),
+    "t_max": Setting("--t-max", None, parse_finite,
+                     "trajectory end; default 2 t_c upper bound"),
+    "target_c": Setting("--target-c", "0.99", parse_finite,
+                        "trajectory reaches past t_c of this target"),
     "alphas": Setting("--alphas", "1,2,3,4", partial(parse_int_list, least=0),
                       "comma list, each >= 0"),
     "m_list": Setting("--m", "16,32,64,128",
                       partial(parse_int_list, least=1, most=IMPROVED_MAX_M),
                       f"comma list of m values, each in [1, {IMPROVED_MAX_M}]"),
+    "tournament": Setting("--tournament", None, parse_tournament,
+                          "also emit the 2^N-system tournament schedule"),
+    "k_base": Setting("--k-base", None, str, "coefficient JSON from `coeffs` to rescale "
+                      f"(default <out>/K_m{experiments.XI_BASE_M}.json)"),
     "seed": Setting("--seed", "0", int, "seed of the randomised checks"),
+    "full": Setting("--full", "false", parse_switch,
+                    "include the scaling, xi-trend and determinism suites", switch=True),
     "out": Setting("--out", "out", str, "output directory"),
 }
 
@@ -125,43 +145,37 @@ def _spectrum_name(prefix: str, kind: str, dim: int, doubled: bool) -> str:
     return f"{prefix}_{kind}_dim{dim}" + ("_doubled" if doubled else "")
 
 
-def cmd_spectrum(cfg: argparse.Namespace, args: argparse.Namespace,
-                 manifest: RunManifest) -> int:
-    for kind in cfg.model:
-        for dim in cfg.dims:
-            spec = build_model(kind, dim, cfg.delta)
-            if cfg.double:
-                spec = double(spec)
-            name = _spectrum_name("spectrum", kind, dim, cfg.double)
-            write_atomic(os.path.join(cfg.out, name + ".txt"), spectrum_to_text(spec), manifest)
-            write_atomic(os.path.join(cfg.out, name + ".json"),
-                         json.dumps(spectrum_to_json(spec)) + "\n", manifest)
+def _models(cfg: argparse.Namespace):
+    """The model sweep of a command that builds spectra."""
+    return experiments.model_sweep(cfg.model, cfg.dims, cfg.delta, cfg.double,
+                                   getattr(cfg, "dt", None))
+
+
+def cmd_spectrum(cfg: argparse.Namespace, manifest: RunManifest) -> int:
+    for kind, dim, spec, _ in _models(cfg):
+        name = _spectrum_name("spectrum", kind, dim, cfg.double)
+        write_atomic(os.path.join(cfg.out, name + ".txt"), spectrum_to_text(spec), manifest)
+        write_atomic(os.path.join(cfg.out, name + ".json"),
+                     json.dumps(spectrum_to_json(spec)) + "\n", manifest)
     return EXIT_OK
 
 
-def cmd_flow(cfg: argparse.Namespace, args: argparse.Namespace,
-             manifest: RunManifest) -> int:
-    for kind in cfg.model:
-        for dim in cfg.dims:
-            csv_text = experiments.flow_csv(kind, dim, cfg.delta, cfg.dt, cfg.t_max,
-                                            cfg.target_c, cfg.double)
-            name = _spectrum_name("flow", kind, dim, cfg.double)
-            write_atomic(os.path.join(cfg.out, name + ".csv"), csv_text, manifest)
+def cmd_flow(cfg: argparse.Namespace, manifest: RunManifest) -> int:
+    for kind, dim, spec, step in _models(cfg):
+        csv_text = experiments.flow_csv(spec, step, cfg.t_max, cfg.target_c)
+        name = _spectrum_name("flow", kind, dim, cfg.double)
+        write_atomic(os.path.join(cfg.out, name + ".csv"), csv_text, manifest)
     return EXIT_OK
 
 
-def cmd_protocol(cfg: argparse.Namespace, args: argparse.Namespace,
-                 manifest: RunManifest) -> int:
-    for kind in cfg.model:
-        for dim in cfg.dims:
-            spec = experiments.make_spectrum(kind, dim, cfg.delta, cfg.double)
-            dt = experiments.resolve_dt(spec, cfg.dt)
-            payload = protocol_output_to_json(apply_protocol(uniform_state(spec.dim), spec, dt))
-            payload["model"] = kind
-            payload["dim"] = dim
-            name = _spectrum_name("protocol", kind, dim, cfg.double)
-            write_atomic(os.path.join(cfg.out, name + ".json"),
-                         json.dumps(payload) + "\n", manifest)
+def cmd_protocol(cfg: argparse.Namespace, manifest: RunManifest) -> int:
+    for kind, dim, spec, step in _models(cfg):
+        payload = protocol_output_to_json(apply_protocol(uniform_state(spec.dim), spec, step))
+        payload["model"] = kind
+        payload["dim"] = dim
+        name = _spectrum_name("protocol", kind, dim, cfg.double)
+        write_atomic(os.path.join(cfg.out, name + ".json"),
+                     json.dumps(payload) + "\n", manifest)
     return EXIT_OK
 
 
@@ -170,24 +184,19 @@ def _write_json(path: str, text: bytearray, manifest: RunManifest) -> None:
     write_atomic(path, text, manifest)
 
 
-def cmd_schedule(cfg: argparse.Namespace, args: argparse.Namespace,
-                 manifest: RunManifest) -> int:
-    if args.tournament is not None:
-        check_tournament_n(args.tournament)
-    manifest.config["tournament"] = args.tournament
+def cmd_schedule(cfg: argparse.Namespace, manifest: RunManifest) -> int:
     for m in cfg.m_list:
         sched = build_improved_schedule(m)
         sched.validate()
         _write_json(os.path.join(cfg.out, f"schedule_m{m}.json"), schedule_to_json(sched),
                     manifest)
-    if args.tournament is not None:
-        _write_json(os.path.join(cfg.out, f"schedule_tournament_n{args.tournament}.json"),
-                    schedule_to_json(build_tournament_schedule(args.tournament)), manifest)
+    if cfg.tournament is not None:
+        _write_json(os.path.join(cfg.out, f"schedule_tournament_n{cfg.tournament}.json"),
+                    schedule_to_json(build_tournament_schedule(cfg.tournament)), manifest)
     return EXIT_OK
 
 
-def cmd_coeffs(cfg: argparse.Namespace, args: argparse.Namespace,
-               manifest: RunManifest) -> int:
+def cmd_coeffs(cfg: argparse.Namespace, manifest: RunManifest) -> int:
     data = experiments.coeffs_dataset(cfg.m_list)
     for m, kmat in sorted(data.matrices.items()):
         write_atomic(os.path.join(cfg.out, f"K_m{m}.csv"), kmat.to_csv(), manifest)
@@ -201,24 +210,21 @@ def cmd_coeffs(cfg: argparse.Namespace, args: argparse.Namespace,
     return EXIT_OK
 
 
-def cmd_xi(cfg: argparse.Namespace, args: argparse.Namespace,
-           manifest: RunManifest) -> int:
-    path = args.k_base or os.path.join(cfg.out, f"K_m{experiments.XI_BASE_M}.json")
+def cmd_xi(cfg: argparse.Namespace, manifest: RunManifest) -> int:
+    path = cfg.k_base or os.path.join(cfg.out, f"K_m{experiments.XI_BASE_M}.json")
     if not os.path.exists(path):
         raise ValueError(f"coefficient base {path} not found; run `swapcool coeffs` first")
     with open(path) as fh:
         base = coefficients_from_json(json.load(fh))
-    manifest.config["k_base"] = os.path.basename(path)
+    manifest.config["k_base"] = os.path.basename(path)     # the file actually read
     rows = experiments.xi_sweep(cfg.model, cfg.dims, cfg.alphas, base,
                                 cfg.delta, cfg.dt, cfg.double)
     write_atomic(os.path.join(cfg.out, "xi.csv"), experiments.xi_rows_to_csv(rows), manifest)
     return EXIT_OK
 
 
-def cmd_verify(cfg: argparse.Namespace, args: argparse.Namespace,
-               manifest: RunManifest) -> int:
-    manifest.config["full"] = args.full
-    results = verify.run_verify(seed=cfg.seed, full=args.full)
+def cmd_verify(cfg: argparse.Namespace, manifest: RunManifest) -> int:
+    results = verify.run_verify(seed=cfg.seed, full=cfg.full)
     report = verify.report_to_json(results)
     write_atomic(os.path.join(cfg.out, "verify_report.json"),
                  json.dumps(report, indent=1, sort_keys=True) + "\n", manifest)
@@ -235,12 +241,12 @@ def cmd_verify(cfg: argparse.Namespace, args: argparse.Namespace,
 class Command:
     """A subcommand's help line, the settings it reads, its manifest stage,
     its handler and its own defaults for some of the settings.  The handler
-    takes (cfg, args, manifest) and returns the exit code."""
+    takes (cfg, manifest) and returns the exit code."""
 
     help: str
     settings: tuple[str, ...]
     stage: str
-    run: Callable[[argparse.Namespace, argparse.Namespace, RunManifest], int]
+    run: Callable[[argparse.Namespace, RunManifest], int]
     defaults: dict = field(default_factory=dict)
 
 
@@ -253,12 +259,14 @@ COMMANDS = {
                     SPECTRA + ("dt", "t_max", "target_c"), "flow", cmd_flow),
     "protocol": Command("single protocol application as JSON", SPECTRA + ("dt",),
                         "protocol", cmd_protocol),
-    "schedule": Command("pairing schedules as JSON", ("m_list", "out"), "schedules",
-                        cmd_schedule, {"m_list": "1,2,4"}),
+    "schedule": Command("pairing schedules as JSON", ("m_list", "tournament", "out"),
+                        "schedules", cmd_schedule, {"m_list": "1,2,4"}),
     "coeffs": Command("coefficient matrices and scaling study", ("m_list", "out"),
                       "coefficients", cmd_coeffs),
-    "xi": Command("network-error diagnostic sweep", SPECTRA + ("dt", "alphas"), "xi", cmd_xi),
-    "verify": Command("oracle and invariant suites", ("seed", "out"), "verify", cmd_verify),
+    "xi": Command("network-error diagnostic sweep", SPECTRA + ("dt", "alphas", "k_base"),
+                  "xi", cmd_xi),
+    "verify": Command("oracle and invariant suites", ("seed", "full", "out"), "verify",
+                      cmd_verify),
 }
 
 # every key some subcommand reads, so one config file can drive the pipeline
@@ -289,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="energy-transfer protocol experiments")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="flat key=value config file (flags win)")
@@ -302,14 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
             default = command.defaults.get(key, setting.default)
             p.add_argument(setting.flag, dest=key, help=setting.help if default is None
                            else f"{setting.help} (default {default})")
-        subparsers[name] = p
-    subparsers["schedule"].add_argument("--tournament", type=int, default=None, metavar="N",
-                                        help="also emit the 2^N-system tournament schedule")
-    subparsers["xi"].add_argument("--k-base", default=None,
-                                  help="coefficient JSON from `coeffs` to rescale "
-                                       "(default <out>/K_m128.json)")
-    subparsers["verify"].add_argument("--full", action="store_true",
-                                      help="include the scaling, xi-trend and determinism suites")
     return parser
 
 
@@ -327,19 +326,18 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
             setattr(cfg, key, None if text is None else SETTINGS[key].parse(text))
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from None
-    # probe every (model, dim) combination up front so commands never leave
-    # partial outputs behind on invalid input; flow's default t_max also needs
-    # target_c inside the t_c window of the spectrum it runs on
-    for kind in getattr(cfg, "model", ()):
-        for dim in cfg.dims:
-            spec = build_model(kind, dim, cfg.delta)
-            if "target_c" in command.settings and cfg.t_max is None:
-                experiments.default_t_max(double(spec) if cfg.double else spec, cfg.target_c)
+    # probe every spectrum up front so commands never leave partial outputs
+    # behind on invalid input; flow also checks the time grid of each spectrum
+    # it runs on (its default t_max needs target_c inside the t_c window)
+    if "model" in command.settings:
+        for _, _, spec, step in _models(cfg):
+            if "t_max" in command.settings:
+                experiments.flow_steps(spec, step, cfg.t_max, cfg.target_c)
     return cfg
 
 
 def main(argv=None) -> int:
-    """Parse, resolve the settings, run the subcommand's handler inside its
+    """Parse, resolve the settings, run the subcommand's handler as its
     manifest stage and write the manifest; bad input exits 2 with no manifest."""
     args = build_parser().parse_args(argv)
     command = COMMANDS[args.command]
@@ -347,9 +345,11 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         manifest = RunManifest(config=dict(vars(cfg), command=args.command),
                                version=__version__)
-        with StageTimer(manifest, command.stage):
-            code = command.run(cfg, args, manifest)
-        write_manifest(cfg.out, manifest)
+        t0 = time.perf_counter()
+        code = command.run(cfg, manifest)
+        manifest.add_stage(command.stage, time.perf_counter() - t0)
+        write_atomic(os.path.join(cfg.out, "manifest.json"),
+                     json.dumps(manifest.to_json(), indent=1, sort_keys=True) + "\n")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

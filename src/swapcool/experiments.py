@@ -9,12 +9,10 @@ byte-reproducible; the CLI wraps these in atomic file writes.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import platform
 import resource
 import sys
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,42 +32,46 @@ from .quantum import energy_moments, uniform_state
 
 DEFAULT_DT_FACTOR = 0.01     # protocol step in units of the inverse gap
 XI_BASE_M = 128
+FLOW_MAX_POINTS = 2 ** 18    # rows of one flow CSV; dim 4096 at the default grid has 2 584
 
 
-def make_spectrum(kind: str, dim: int, delta: float, use_double: bool = False) -> Spectrum:
-    spec = build_model(kind, dim, delta)
-    return double(spec) if use_double else spec
-
-
-def resolve_dt(spec: Spectrum, dt: float | None) -> float:
-    if dt is not None:
-        return dt
-    return DEFAULT_DT_FACTOR / spectral_stats(spec).gap
+def model_sweep(models, dims, delta: float, use_double: bool = False,
+                dt: float | None = None):
+    """(kind, dim, spectrum, step) per model and dim: the spectrum doubled when
+    asked, the step dt or else DEFAULT_DT_FACTOR / gap."""
+    for kind in models:
+        for dim in dims:
+            spec = build_model(kind, dim, delta)
+            if use_double:
+                spec = double(spec)
+            step = DEFAULT_DT_FACTOR / spectral_stats(spec).gap if dt is None else dt
+            yield kind, dim, spec, step
 
 
 # --- flow dataset -------------------------------------------------------------
 
-def default_t_max(spec: Spectrum, target_c: float) -> float:
-    """Twice the upper end of the t_c window of target_c; ValueError when
-    target_c lies outside [ground population of the uniform start, 1)."""
-    stats = spectral_stats(spec)
-    _, upper = t_c_bounds(spec.dim, stats.gap, stats.span, target_c,
-                          stats.ground_degeneracy)
-    return 2.0 * upper
-
-
-def flow_csv(kind: str, dim: int, delta: float, dt: float | None = None,
-             t_max: float | None = None, target_c: float = 0.99,
-             use_double: bool = False) -> str:
-    """One trajectory CSV on a uniform time grid reaching past t_c(target_c)."""
-    spec = make_spectrum(kind, dim, delta, use_double)
-    step = resolve_dt(spec, dt)
+def flow_steps(spec: Spectrum, step: float, t_max: float | None, target_c: float) -> int:
+    """Steps of the uniform time grid reaching t_max, by default twice the
+    upper end of the t_c window of target_c.  ValueError when target_c lies
+    outside [ground population of the uniform start, 1) or the grid would hold
+    more than FLOW_MAX_POINTS rows."""
     if t_max is None:
-        t_max = default_t_max(spec, target_c)
-    n_steps = int(np.ceil(t_max / step))
-    times = step * np.arange(n_steps + 1)
-    phi0 = uniform_state(spec.dim)
-    return flow_series(phi0, spec, times).to_csv()
+        stats = spectral_stats(spec)
+        _, upper = t_c_bounds(spec.dim, stats.gap, stats.span, target_c,
+                              stats.ground_degeneracy)
+        t_max = 2.0 * upper
+    span = t_max / step
+    if not span <= FLOW_MAX_POINTS - 1:
+        raise ValueError(f"flow grid t_max / dt = {t_max!r} / {step!r} needs more than "
+                         f"{FLOW_MAX_POINTS} rows")
+    return int(np.ceil(span))
+
+
+def flow_csv(spec: Spectrum, step: float, t_max: float | None = None,
+             target_c: float = 0.99) -> str:
+    """One trajectory CSV from the uniform start on the grid of flow_steps."""
+    times = step * np.arange(flow_steps(spec, step, t_max, target_c) + 1)
+    return flow_series(uniform_state(spec.dim), spec, times).to_csv()
 
 
 # --- coefficient dataset ------------------------------------------------------
@@ -152,17 +154,14 @@ def xi_sweep(models, dims, alphas, k_base: CoefficientMatrix, delta: float = 1.0
     the base matrix.  Model (a) rows are reference-only; every row carries the
     total-energy bound check on its m_alpha."""
     rows = []
-    for kind in models:
-        for dim in dims:
-            spec = make_spectrum(kind, dim, delta, use_double)
-            step = resolve_dt(spec, dt)
-            phi0 = uniform_state(spec.dim)
-            e0, _ = energy_moments(phi0, spec)
-            bound = min_m_bound(spec, e0)
-            for alpha in alphas:
-                point = xi_result(spec, phi0, step, alpha, k_base)
-                rows.append(XiRow(kind, dim, alpha, point.m_alpha, point.xi,
-                                  bound, point.m_alpha <= bound, kind == "a"))
+    for kind, dim, spec, step in model_sweep(models, dims, delta, use_double, dt):
+        phi0 = uniform_state(spec.dim)
+        e0, _ = energy_moments(phi0, spec)
+        bound = min_m_bound(spec, e0)
+        for alpha in alphas:
+            point = xi_result(spec, phi0, step, alpha, k_base)
+            rows.append(XiRow(kind, dim, alpha, point.m_alpha, point.xi,
+                              bound, point.m_alpha <= bound, kind == "a"))
     return rows
 
 
@@ -215,20 +214,6 @@ class RunManifest:
                 "environment": self.environment, "stages": self.stages, "files": self.files}
 
 
-class StageTimer:
-    def __init__(self, manifest: RunManifest, name: str):
-        self.manifest = manifest
-        self.name = name
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.manifest.add_stage(self.name, time.perf_counter() - self.t0)
-        return False
-
-
 def write_atomic(path: str, content: str | bytes | bytearray,
                  manifest: RunManifest | None = None) -> None:
     data = content.encode() if isinstance(content, str) else content
@@ -240,8 +225,3 @@ def write_atomic(path: str, content: str | bytes | bytearray,
     os.replace(tmp, path)
     if manifest is not None:
         manifest.add_file(os.path.basename(path), data)
-
-
-def write_manifest(out_dir: str, manifest: RunManifest) -> None:
-    payload = json.dumps(manifest.to_json(), indent=1, sort_keys=True) + "\n"
-    write_atomic(os.path.join(out_dir, "manifest.json"), payload)

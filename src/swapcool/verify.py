@@ -299,7 +299,9 @@ def check_t_c_window(dims=ACCEPT_DIMS) -> CheckResult:
 
 def check_schedule_profiles(m_max: int = 256) -> CheckResult:
     """Terminal tau profiles for every m, the two hand-computed step counts,
-    and the boundedness of step_star / m^2."""
+    and the boundedness of step_star / m^2 (m_max >= 4: the ratios start at m = 4)."""
+    if m_max < 4:
+        raise ValueError(f"m_max must be >= 4, got {m_max}")
     t0 = time.perf_counter()
     stats = kernels.improved_schedule_stats_many(range(1, m_max + 1))
     mismatch = [m for m, (_, terminal) in enumerate(stats, start=1)
@@ -523,7 +525,8 @@ def check_min_m_bounds(dims=ACCEPT_DIMS) -> CheckResult:
 def check_determinism() -> CheckResult:
     """Byte-identical dataset emissions for identical configs."""
     def emit():
-        flow = experiments.flow_csv("b", 16, 1.0)
+        (_, _, spec, step), = experiments.model_sweep(["b"], [16], 1.0)
+        flow = experiments.flow_csv(spec, step)
         data = experiments.coeffs_dataset((4, 8))
         coeff = data.matrices[8].to_csv() + data.step_star_csv()
         base = experiments.base_coefficient_matrix(16)

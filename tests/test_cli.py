@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from swapcool import experiments
 from swapcool.cli import (
     COMMANDS,
     CONFIG_KEYS,
@@ -13,6 +14,7 @@ from swapcool.cli import (
     build_parser,
     main,
     parse_dims,
+    parse_switch,
 )
 from swapcool.experiments import write_atomic
 
@@ -276,6 +278,109 @@ def test_config_file_keys_of_other_commands_are_accepted(tmp_path, monkeypatch):
                                               "full": full}
 
 
+def test_command_only_settings_from_config_file(tmp_path, monkeypatch):
+    # tournament, full and k_base are config keys like every other setting; flags win
+    out = tmp_path / "o"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m_list=1\ntournament=2\nfull=true\n")
+    assert main(["schedule", "--config", str(cfg), "--out", str(out)]) == 0
+    assert manifest_of(out)["config"]["tournament"] == 2
+    assert (out / "schedule_tournament_n2.json").exists()
+    assert main(["schedule", "--config", str(cfg), "--tournament", "3",
+                 "--out", str(out / "flag")]) == 0
+    assert manifest_of(out / "flag")["config"]["tournament"] == 3
+    assert sorted(os.listdir(out / "flag")) == ["manifest.json", "schedule_m1.json",
+                                                "schedule_tournament_n3.json"]
+
+    from swapcool import verify as verify_mod
+
+    seen = []
+
+    def fast_run(seed=0, full=False):
+        seen.append(full)
+        return [verify_mod.CheckResult("stub", True, {})]
+
+    monkeypatch.setattr(verify_mod, "run_verify", fast_run)
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    assert seen == [True] and manifest_of(out)["config"]["full"] is True
+
+    assert main(["coeffs", "--m", "16", "--out", str(tmp_path / "k")]) == 0
+    base = (tmp_path / "k" / "K_m16.json").read_text()
+    for name in ("K_a.json", "K_b.json"):
+        (tmp_path / name).write_text(base)
+    cfg.write_text(f"model=b\ndims=8\nalphas=1\nk_base={tmp_path / 'K_a.json'}\n")
+    assert main(["xi", "--config", str(cfg), "--out", str(out)]) == 0
+    assert manifest_of(out)["config"]["k_base"] == "K_a.json"
+    assert main(["xi", "--config", str(cfg), "--k-base", str(tmp_path / "K_b.json"),
+                 "--out", str(out)]) == 0
+    assert manifest_of(out)["config"]["k_base"] == "K_b.json"
+
+
+def test_tournament_out_of_range_in_config_file_exit_2_no_files(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m_list=1\ntournament=0\n")
+    out = tmp_path / "o"
+    assert main(["schedule", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--delta", "nan"],
+    ["spectrum", "--delta", "inf"],
+    ["protocol", "--dt", "nan"],
+    ["protocol", "--dt", "inf"],
+    ["flow", "--t-max", "inf"],
+    ["flow", "--t-max", "nan"],
+    ["flow", "--target-c", "nan"],
+    ["xi", "--delta=-inf"],
+], ids=["delta-nan", "delta-inf", "dt-nan", "dt-inf", "t_max-inf", "t_max-nan",
+        "target_c-nan", "xi-delta-minus-inf"])
+def test_non_finite_number_exit_2_no_files(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main(argv + ["--model", "a", "--dims", "8", "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flow_grid_above_cap_exit_2_no_files(tmp_path, monkeypatch):
+    # model a at dim 8 has gap 1, so the default step is 0.01 and this t_max asks
+    # for FLOW_MAX_POINTS + 1 rows
+    def refuse(*args):
+        raise AssertionError("the grid is checked before any flow runs")
+
+    monkeypatch.setattr("swapcool.experiments.flow_series", refuse)
+    t_max = repr(experiments.FLOW_MAX_POINTS * 0.01 - 0.005)
+    out = tmp_path / "o"
+    assert main(["flow", "--model", "a", "--dims", "8", "--t-max", t_max,
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_flow_grid_cap_is_inclusive(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "FLOW_MAX_POINTS", 11)
+    argv = ["flow", "--model", "a", "--dims", "8", "--dt", "1"]
+    assert main(argv + ["--t-max", "10", "--out", str(tmp_path / "ok")]) == 0
+    rows = read(tmp_path / "ok" / "flow_a_dim8.csv").strip().split("\n")[1:]
+    assert len(rows) == 11
+    assert main(argv + ["--t-max", "10.001", "--out", str(tmp_path / "over")]) == 2
+    assert not (tmp_path / "over").exists()
+
+
+@pytest.mark.parametrize("text, value", [("1", True), ("TRUE", True), ("Yes", True),
+                                         ("0", False), ("false", False), ("NO", False)])
+def test_parse_switch_accepts_its_words(text, value):
+    assert parse_switch(text) is value
+
+
+@pytest.mark.parametrize("line", ["double=ture", "double=", "double=2"])
+def test_malformed_switch_in_config_file_exit_2_no_files(tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model=a\ndims=4\n{line}\n")
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["coeffs", "--model", "a"],
     ["schedule", "--dt", "0.1"],
@@ -295,7 +400,6 @@ def test_each_subcommand_accepts_only_its_settings():
     parser = build_parser()
     subparsers = next(a for a in parser._actions
                       if isinstance(a, argparse._SubParsersAction)).choices
-    own_flags = {"schedule": {"--tournament"}, "xi": {"--k-base"}, "verify": {"--full"}}
     assert set(subparsers) == set(COMMANDS)
     read_somewhere = set()
     n_options = 0
@@ -303,7 +407,7 @@ def test_each_subcommand_accepts_only_its_settings():
         options = {opt for action in sub._actions for opt in action.option_strings}
         options -= {"-h", "--help"}
         flags = {SETTINGS[key].flag for key in COMMANDS[name].settings}
-        assert options == {"--config", "--out"} | flags | own_flags.get(name, set()), name
+        assert options == {"--config", "--out"} | flags, name
         read_somewhere |= set(COMMANDS[name].settings)
         n_options += len(options)
     assert CONFIG_KEYS == read_somewhere
@@ -404,7 +508,7 @@ def test_main_runs_any_command_through_one_path(tmp_path, monkeypatch):
     # a command main has never heard of: the table entry alone wires it up
     seen = {}
 
-    def run(cfg, args, manifest):
+    def run(cfg, manifest):
         seen["manifest"] = manifest
         write_atomic(os.path.join(cfg.out, "stub.txt"), f"m={cfg.m_list}\n", manifest)
         return 0

@@ -108,3 +108,10 @@ def test_expansion_check_fails_without_the_deviation_term(monkeypatch):
 
     monkeypatch.setattr(verify, "expand_short_time", first_order_only)
     _assert_fails_at_second_order(verify.check_expansion_convergence())
+
+
+@pytest.mark.parametrize("m_max", [0, 3])
+def test_schedule_profiles_reject_m_max_below_4(m_max):
+    # the step*/m^2 ratios start at m = 4, so a smaller sweep has none to bound
+    with pytest.raises(ValueError, match="m_max must be >= 4"):
+        verify.check_schedule_profiles(m_max)

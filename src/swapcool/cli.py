@@ -3,7 +3,8 @@
 Subcommands: spectrum, flow, protocol, schedule, coeffs, xi, verify.
 Exit codes: 0 success, 1 verification failure, 2 invalid input.  Every run
 writes the dataset files atomically plus a manifest listing each file with
-its content hash.
+its content hash; the manifest carries the earlier runs of other commands
+into the same directory forward.
 """
 
 from __future__ import annotations
@@ -81,11 +82,11 @@ def parse_finite(text: str) -> float:
     return value
 
 
-def parse_dt(text: str) -> float:
-    dt = parse_finite(text)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return dt
+def parse_positive(text: str) -> float:
+    value = parse_finite(text)
+    if value <= 0:
+        raise ValueError(f"need a positive number, got {text!r}")
+    return value
 
 
 def parse_switch(text: str) -> bool:
@@ -120,8 +121,8 @@ SETTINGS = {
     "delta": Setting("--delta", "1.0", parse_finite, "energy scale of the model spectra"),
     "double": Setting("--double", "false", parse_switch,
                       "replace each spectrum by its doubled version", switch=True),
-    "dt": Setting("--dt", None, parse_dt, "protocol step; default 0.01/gap"),
-    "t_max": Setting("--t-max", None, parse_finite,
+    "dt": Setting("--dt", None, parse_positive, "protocol step; default 0.01/gap"),
+    "t_max": Setting("--t-max", None, parse_positive,
                      "trajectory end; default 2 t_c upper bound"),
     "target_c": Setting("--target-c", "0.99", parse_finite,
                         "trajectory reaches past t_c of this target"),
@@ -343,12 +344,14 @@ def main(argv=None) -> int:
     command = COMMANDS[args.command]
     try:
         cfg = resolve_config(args)
+        manifest_path = os.path.join(cfg.out, "manifest.json")
         manifest = RunManifest(config=dict(vars(cfg), command=args.command),
-                               version=__version__)
+                               version=__version__,
+                               earlier=experiments.recorded_runs(manifest_path))
         t0 = time.perf_counter()
         code = command.run(cfg, manifest)
         manifest.add_stage(command.stage, time.perf_counter() - t0)
-        write_atomic(os.path.join(cfg.out, "manifest.json"),
+        write_atomic(manifest_path,
                      json.dumps(manifest.to_json(), indent=1, sort_keys=True) + "\n")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

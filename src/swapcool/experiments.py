@@ -9,6 +9,7 @@ byte-reproducible; the CLI wraps these in atomic file writes.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import platform
 import resource
@@ -195,13 +196,20 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit / 1e6
 
 
+RUN_KEYS = ("config", "version", "environment", "stages", "files")
+
+
 @dataclass
 class RunManifest:
+    """One run's record, plus the earlier runs into the same directory that
+    it carries forward (see to_json)."""
+
     config: dict
     version: str
     environment: dict = field(default_factory=run_environment)
     stages: list = field(default_factory=list)
     files: list = field(default_factory=list)
+    earlier: list = field(default_factory=list)
 
     def add_stage(self, name: str, seconds: float) -> None:
         self.stages.append({"name": name, "seconds": seconds, "peak_rss_mb": peak_rss_mb()})
@@ -210,8 +218,33 @@ class RunManifest:
         self.files.append({"path": path, "sha256": hashlib.sha256(content).hexdigest()})
 
     def to_json(self) -> dict:
+        """This run at the top level; under "earlier_runs" the earlier runs
+        of other commands, oldest first (no two commands write a file of the
+        same name).  A rerun of a command replaces its own entry."""
+        command = self.config.get("command")
+        earlier = [run for run in self.earlier if run["config"].get("command") != command]
         return {"config": self.config, "version": self.version,
-                "environment": self.environment, "stages": self.stages, "files": self.files}
+                "environment": self.environment, "stages": self.stages, "files": self.files,
+                "earlier_runs": earlier}
+
+
+def recorded_runs(path: str) -> list:
+    """The runs the manifest at path records, oldest first; [] when there is
+    none.  ValueError when the file is not a manifest."""
+    try:
+        with open(path) as fh:
+            man = json.load(fh)
+    except FileNotFoundError:
+        return []
+    except ValueError as exc:
+        raise ValueError(f"{path} is not a manifest: {exc}") from None
+    earlier = man.get("earlier_runs", []) if isinstance(man, dict) else None
+    if not isinstance(earlier, list) or not set(RUN_KEYS) <= man.keys():
+        raise ValueError(f"{path} is not a manifest: it needs the keys {', '.join(RUN_KEYS)}")
+    runs = earlier + [{key: man[key] for key in RUN_KEYS}]
+    if not all(isinstance(run, dict) and isinstance(run.get("config"), dict) for run in runs):
+        raise ValueError(f"{path} is not a manifest: every run needs a config object")
+    return runs
 
 
 def write_atomic(path: str, content: str | bytes | bytearray,

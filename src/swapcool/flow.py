@@ -6,9 +6,9 @@ imaginary-time evolution, so the exact path is one vector exponential; the
 RK4 integrator exists purely as an independent cross-check.
 
 Series along the flow (:func:`flow_series`, the crossing-step search and the
-network-error diagnostic) run on the populations of the distinct levels,
-vectorised over time (:class:`LevelFlow`); :func:`flow_exact` keeps the
-per-state path as an independent cross-check.
+network's second-order deviations) run on the populations of the distinct
+levels, vectorised over time (:class:`LevelFlow`); :func:`flow_exact` keeps
+the per-state path as an independent cross-check.
 
 For a uniform initial state the ground-level population P1(t) is sandwiched
 between two logistic curves whose rates are the spectral gap and span.  Note
@@ -57,12 +57,16 @@ class LevelFlow:
 
     (W_l the start state's population on level l) fix every observable that
     is diagonal in the eigenbasis, and every overlap between two flow states.
+    The flow state itself is phi_t,i = unit_i sqrt(P_l(i)(t)), so a levels x
+    levels operator maps back to the eigenbasis through U[i, l(i)] = unit_i.
     """
 
     levels: np.ndarray       # distinct eigenvalues (exact equality), ascending
     weights: np.ndarray      # start-state population W_l of each level
     n_ground: int            # levels within DEGENERACY_TOL of the lowest
     first_share: float       # |a_0|^2 / W_0: eigenvector 0's share of level 0
+    level_of: np.ndarray     # level index l(i) of each eigenvector
+    unit: np.ndarray         # a_i / sqrt(W_l(i)): the start state's unit component
 
     def blocks(self, times):
         """Yield (rows, P) over consecutive row blocks of the times x levels
@@ -88,6 +92,31 @@ class LevelFlow:
             out[rows] = pop
         return out
 
+    def deviation(self, times, weights) -> np.ndarray:
+        """sum_k w_k D[phi_{t_k}] on the levels, skipping zero weights:
+        D[phi] = {Gamma, P} - 2<Gamma> P, Gamma = (H - <H>)^2 / 4, is one
+        protocol step's second-order deviation.  Gamma is constant on each
+        level, so D[phi_t] = U d U^dag, d_lk = (gamma_l + gamma_k - 2<Gamma>)
+        sqrt(P_l P_k) at the populations P of time t."""
+        weights = np.asarray(weights, dtype=float)
+        keep = np.flatnonzero(weights)
+        times, weights = np.asarray(times, dtype=float)[keep], weights[keep]
+        half = np.zeros((self.levels.size,) * 2)
+        for rows, pop in self.blocks(times):
+            energy = (pop * self.levels).sum(axis=1, keepdims=True)
+            gamma = 0.25 * (self.levels - energy) ** 2
+            gamma -= (pop * gamma).sum(axis=1, keepdims=True)
+            root = np.sqrt(pop)
+            half += (weights[rows, None] * gamma * root).T @ root
+        return half + half.T
+
+    def to_eigenbasis(self, op: np.ndarray) -> np.ndarray:
+        """U op U^dag for a levels x levels operator: entry (i, j) is
+        unit_i op[l(i), l(j)] conj(unit_j)."""
+        out = self.unit[:, None] * op[np.ix_(self.level_of, self.level_of)]
+        out *= self.unit.conj()
+        return out
+
 
 def level_flow(phi0: PureState, spec: Spectrum) -> LevelFlow:
     """Group the spectrum into distinct levels and sum phi0's populations."""
@@ -97,7 +126,8 @@ def level_flow(phi0: PureState, spec: Spectrum) -> LevelFlow:
     weights = np.bincount(level_of, weights=probs, minlength=levels.size)
     n_ground = int(np.count_nonzero(levels <= levels[0] + DEGENERACY_TOL))
     first_share = float(probs[0] / weights[0]) if weights[0] > 0 else 0.0
-    return LevelFlow(levels, weights, n_ground, first_share)
+    unit = phi0.amplitudes / np.sqrt(np.where(weights > 0, weights, 1.0))[level_of]
+    return LevelFlow(levels, weights, n_ground, first_share, level_of, unit)
 
 
 def flow_rk4(phi0: PureState, spec: Spectrum, t: float, h: float) -> PureState:

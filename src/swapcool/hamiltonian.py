@@ -30,6 +30,8 @@ class Spectrum:
         ev = np.asarray(self.eigenvalues, dtype=float)
         if ev.ndim != 1 or ev.size < 2:
             raise ValueError("spectrum needs at least 2 eigenvalues")
+        if not np.isfinite(ev).all():
+            raise ValueError("eigenvalues must be finite")
         if np.any(np.diff(ev) < 0):
             raise ValueError("eigenvalues must be sorted ascending")
         object.__setattr__(self, "eigenvalues", ev)
@@ -96,7 +98,8 @@ def double(spec: Spectrum) -> Spectrum:
     bound on the network size (see :func:`min_m_bound`).
     """
     ev = spec.eigenvalues
-    diffs = (ev[:, None] - ev[None, :]).ravel()
+    with np.errstate(over="ignore"):     # an overflow is refused by Spectrum
+        diffs = (ev[:, None] - ev[None, :]).ravel()
     label = f"double({spec.label})" if spec.label else "double"
     return Spectrum(np.sort(diffs), label=label)
 

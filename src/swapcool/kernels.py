@@ -111,6 +111,15 @@ def improved_terminal_profile(m: int) -> np.ndarray:
     return np.where(i < m, i - m, i - m + 1).astype(np.int64)
 
 
+def improved_pair_count(m: int) -> int:
+    """Pair events of the improved network, m(m+1)(2m+1)/6.
+
+    Each pair moves one member down one tau and the other up one, raising
+    sum tau^2 by exactly 2, from 0 at the start to m(m+1)(2m+1)/3 on the
+    terminal profile, whatever the order of the firings."""
+    return m * (m + 1) * (2 * m + 1) // 6
+
+
 class ImprovedSteps:
     """The improved network for 2m systems: the one-row case of the
     lock-step loop.

@@ -34,13 +34,12 @@ import numpy as np
 from . import kernels
 from .kernels import improved_terminal_profile
 from .hamiltonian import Spectrum
-from .protocol import deviation_term, protocol_unitary
+from .protocol import protocol_unitary
 from .quantum import DensityOperator, PureState, _check_dims
-from .flow import find_steps_for_p1, flow_exact, level_flow
+from .flow import find_steps_for_p1, level_flow
 
 EXACT_ORACLE_JOINT_CAP = 1024
 EXACT_ORACLE_ENERGY_TOL = 1e-10
-PREDICT_DIM_CAP = 64
 TOURNAMENT_MAX_N = 20   # 2^20 systems, about a million pair events (as at m=128)
 IMPROVED_MAX_M = 256    # the largest m whose schedule criterion 08 verifies; 5.6 M pair events
 JSON_BLOCK_PAIRS = 1 << 15   # pair events encoded per block of the schedule JSON
@@ -122,22 +121,28 @@ class Schedule:
 
 def build_improved_schedule(m: int) -> Schedule:
     """The improved network's pair stream stored as event arrays, int32 in
-    (step, lo) order."""
+    (step, lo) order, filled step by step into columns of the exact pair
+    count.  A stream that runs past the count cannot terminate as the
+    improved network does (RuntimeError); one that stops short of it raises
+    AssertionError."""
     steps = kernels.ImprovedSteps(m)
-    blocks = []
-    for lo, hi, tau, _ in steps:
-        # one (lo, hi, tau) block per step, pairs ordered by lo
-        order = lo.argsort()
-        block = np.empty((3, lo.size), dtype=np.int32)
-        block[0] = lo[order]
-        block[1] = hi[order]
-        block[2] = tau[order]
-        blocks.append(block)
-    counts = [b.shape[1] for b in blocks]
-    el, eh, et = np.concatenate(blocks, axis=1)
-    del blocks  # release the per-step blocks before the step column is built
-    es = np.repeat(np.arange(steps.step_star, dtype=np.int32), counts)
-    fresh = ((et == 0) & (es != 0)).astype(np.uint8)
+    n = kernels.improved_pair_count(steps.m)
+    es, el, eh, et = (np.empty(n, dtype=np.int32) for _ in range(4))
+    fresh = np.empty(n, dtype=np.uint8)
+    end = 0
+    for step, (lo, hi, tau, f) in enumerate(steps):
+        start, end = end, end + lo.size
+        if end > n:
+            raise RuntimeError(f"pairing schedule failed to terminate within its {n} pairs "
+                               f"(step {step})")
+        order = lo.argsort()     # pairs ordered by lo within the step
+        es[start:end] = step
+        el[start:end] = lo[order]
+        eh[start:end] = hi[order]
+        et[start:end] = tau[order]
+        fresh[start:end] = f[order]
+    if end != n:
+        raise AssertionError(f"pair stream filled {end} of its {n} pairs")
     return Schedule("improved", steps.m, steps.n_systems, steps.step_star, es, el, eh, et,
                     fresh, steps.terminal_tau)
 
@@ -310,11 +315,9 @@ def xi_statistic(spec: Spectrum, phi0: PureState, m: int, dt: float,
                  k_row: np.ndarray) -> float:
     """Expectation of the accumulated deviation operator in the target state.
 
-    xi = <phi_T| dt^2 sum_k K[2m,k] D[phi_{k'dt}] |phi_T> with T = m*dt.  Flow
-    states differ only by positive per-level factors, so with P_s the level
-    populations at time s, <phi_s|phi_T> = sum_l sqrt(P_s,l P_T,l) and
-    <phi_T|Gamma_s|phi_s> = sum_l Gamma_s,l sqrt(P_s,l P_T,l), Gamma_s,l =
-    (E_l - <H>_s)^2 / 4; every nonzero column is one row of a population block.
+    xi = <phi_T| dt^2 sum_k K[2m,k] D[phi_{k'dt}] |phi_T> with T = m*dt.  On
+    the levels phi_T is a = sqrt(P_T) and the sum is LevelFlow.deviation M,
+    so xi = dt^2 a^T M a.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -322,18 +325,9 @@ def xi_statistic(spec: Spectrum, phi0: PureState, m: int, dt: float,
     if k_row.shape != (2 * m + 1,):
         raise ValueError("coefficient row must have length 2m+1")
     lf = level_flow(phi0, spec)
-    cols = np.flatnonzero(k_row)
-    target = lf.populations([m * dt])[0]
-    terms = np.empty(cols.size)
-    for rows, pop in lf.blocks((cols - m) * dt):
-        root = np.sqrt(pop * target)
-        overlap = root.sum(axis=1)
-        energy = (pop * lf.levels).sum(axis=1, keepdims=True)
-        gamma = 0.25 * (lf.levels - energy) ** 2
-        gamma_mean = (pop * gamma).sum(axis=1)
-        cross = (gamma * root).sum(axis=1)
-        terms[rows] = 2.0 * cross * overlap - 2.0 * gamma_mean * overlap ** 2
-    return float(dt * dt * float(k_row[cols] @ terms))
+    target = np.sqrt(lf.populations([m * dt])[0])
+    dev = lf.deviation((np.arange(2 * m + 1) - m) * dt, k_row)
+    return float(dt * dt * (target @ dev @ target))
 
 
 def m_alpha(spec: Spectrum, phi0: PureState, dt: float, alpha: int) -> int:
@@ -354,22 +348,16 @@ def m_alpha(spec: Spectrum, phi0: PureState, dt: float, alpha: int) -> int:
 def predict_reduced_state(sched: Schedule, j: int, kmat: CoefficientMatrix,
                           spec: Spectrum, phi0: PureState, dt: float) -> DensityOperator:
     """Second-order prediction for the terminal state of 1-based system j:
-    the flow projector at tau_j(step*) dt minus the K-weighted deviations."""
-    _check_dims(phi0, spec)
-    if spec.dim > PREDICT_DIM_CAP:
-        raise ValueError(f"dense prediction capped at dim {PREDICT_DIM_CAP}")
-    tau_term = int(sched.terminal_tau[j - 1])
-    target = flow_exact(phi0, spec, tau_term * dt)
-    mat = target.projector().astype(complex)
-    row = kmat.k[j - 1]
-    m = kmat.m
-    for col, weight in enumerate(row):
-        if weight == 0.0:
-            continue
-        kp = col - m
-        dev = deviation_term(spec, flow_exact(phi0, spec, kp * dt))
-        mat -= dt * dt * weight * dev.matrix
-    return DensityOperator(mat)
+    the flow projector at tau_j(step*) dt minus the K-weighted deviations,
+    evaluated on the levels and mapped to the eigenbasis."""
+    if kmat.n_systems != sched.n_systems:
+        raise ValueError(f"K has {kmat.n_systems} rows for {sched.n_systems} systems")
+    if not 1 <= j <= kmat.n_systems:
+        raise ValueError(f"system j must lie in [1, {kmat.n_systems}], got {j}")
+    lf = level_flow(phi0, spec)
+    target = np.sqrt(lf.populations([int(sched.terminal_tau[j - 1]) * dt])[0])
+    dev = lf.deviation((np.arange(2 * kmat.m + 1) - kmat.m) * dt, kmat.k[j - 1])
+    return DensityOperator(lf.to_eigenbasis(np.outer(target, target) - dt * dt * dev))
 
 
 # --- exact joint-space oracle -------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import flow_exact
+from .flow import level_flow
 from .hamiltonian import Spectrum, spectral_stats
 from .quantum import (
     DensityOperator,
@@ -47,30 +47,18 @@ class ProtocolOutput:
     dt: float
 
 
-@dataclass(frozen=True)
-class DeviationTerm:
+def deviation_term(spec: Spectrum, phi: PureState) -> np.ndarray:
     """Second-order deviation D[phi] = {Gamma, P} - 2<Gamma> P with
-    Gamma = (H - <H>)^2 / 4 evaluated at a reference state.
+    Gamma = (H - <H>)^2 / 4, as a dense matrix in the eigenbasis.
 
-    Traceless and Hermitian; the unit of error the network accumulates."""
-
-    gamma: np.ndarray        # diagonal of Gamma in the eigenbasis
-    gamma_mean: float
-    state: PureState
-
-    @property
-    def matrix(self) -> np.ndarray:
-        p = self.state.projector()
-        gp = self.gamma[:, None] * p + p * self.gamma[None, :]
-        return gp - 2.0 * self.gamma_mean * p
-
-
-def deviation_term(spec: Spectrum, phi: PureState) -> DeviationTerm:
+    Traceless and Hermitian; the unit of error the network accumulates.  The
+    dense reference for :meth:`swapcool.flow.LevelFlow.deviation`."""
     _check_dims(phi, spec)
     e, _ = energy_moments(phi, spec)
     gamma = 0.25 * (spec.eigenvalues - e) ** 2
     mean = float(np.abs(phi.amplitudes) ** 2 @ gamma)
-    return DeviationTerm(gamma, mean, phi)
+    p = phi.projector()
+    return gamma[:, None] * p + p * gamma[None, :] - 2.0 * mean * p
 
 
 def apply_protocol(phi0: PureState, spec: Spectrum, dt: float) -> ProtocolOutput:
@@ -148,18 +136,16 @@ def expand_short_time(phi0: PureState, spec: Spectrum, dt: float) -> tuple[Densi
     the exact cooling-flow state and D the traceless deviation term, accurate
     to O(dt^3).  The dt^2 operator here is the trace-preserving variant
     ({H^2,P} - 2 HPH in expanded form), the one that matches the dense
-    oracle; see the regression check in :mod:`swapcool.verify`.
+    oracle (see :mod:`swapcool.verify`); both are evaluated on the levels.
     """
-    _check_dims(phi0, spec)
     span = spectral_stats(spec).span
     if abs(dt) * span > 0.5:
         raise ValueError("dt outside the short-time expansion regime")
-    dev = deviation_term(spec, phi0).matrix
-    preds = []
-    for sign in (+1, -1):
-        target = flow_exact(phi0, spec, sign * dt)
-        preds.append(DensityOperator(target.projector() - dt * dt * dev))
-    return preds[0], preds[1]
+    lf = level_flow(phi0, spec)
+    dev = dt * dt * lf.deviation([0.0], [1.0])
+    rho_a, rho_b = (DensityOperator(lf.to_eigenbasis(np.outer(a, a) - dev))
+                    for a in np.sqrt(lf.populations([dt, -dt])))
+    return rho_a, rho_b
 
 
 def transfer_first_order(phi0: PureState, spec: Spectrum, dt: float) -> tuple[float, float]:

@@ -64,9 +64,11 @@ class CheckResult:
     name: str
     passed: bool
     details: dict = field(default_factory=dict)
+    seconds: float | None = None     # wall clock of the whole check, set by run_verify
 
     def to_json(self) -> dict:
-        return {"name": self.name, "passed": bool(self.passed), "details": self.details}
+        return {"name": self.name, "passed": bool(self.passed), "seconds": self.seconds,
+                "details": self.details}
 
 
 def _opnorm(mat: np.ndarray) -> float:
@@ -562,9 +564,15 @@ FULL_CHECKS = CORE_CHECKS + (
 
 
 def run_verify(seed: int = 0, full: bool = False) -> list[CheckResult]:
+    """Run the core (or full) checks, recording each one's wall seconds."""
     seeded = (check_protocol_vs_oracle, check_energy_conservation)
-    return [fn(seed=seed) if fn in seeded else fn()
-            for fn in (FULL_CHECKS if full else CORE_CHECKS)]
+    results = []
+    for fn in (FULL_CHECKS if full else CORE_CHECKS):
+        t0 = time.perf_counter()
+        result = fn(seed=seed) if fn in seeded else fn()
+        result.seconds = time.perf_counter() - t0
+        results.append(result)
+    return results
 
 
 def report_to_json(results: list[CheckResult]) -> dict:

@@ -342,6 +342,25 @@ def test_non_finite_number_exit_2_no_files(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["spectrum", "flow"])
+def test_overflowing_doubled_spectrum_exit_2_no_files(tmp_path, capsys, command):
+    # doubling model b at delta 1e308 needs 1e308 - (-1e308), which overflows
+    out = tmp_path / "o"
+    assert main([command, "--model", "b", "--dims", "8", "--delta", "1e308", "--double",
+                 "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t_max", ["-1", "0"])
+def test_flow_non_positive_t_max_exit_2_no_files(tmp_path, capsys, t_max):
+    out = tmp_path / "o"
+    assert main(["flow", "--model", "a", "--dims", "8", f"--t-max={t_max}",
+                 "--out", str(out)]) == 2
+    assert "positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_flow_grid_above_cap_exit_2_no_files(tmp_path, monkeypatch):
     # model a at dim 8 has gap 1, so the default step is 0.01 and this t_max asks
     # for FLOW_MAX_POINTS + 1 rows
@@ -426,6 +445,51 @@ def test_manifest_lists_hashes(tmp_path):
         actual = hashlib.sha256(read(os.path.join(out, name)).encode()).hexdigest()
         assert actual == digest
     assert len(man["stages"]) >= 1
+
+
+def test_manifest_carries_earlier_runs(tmp_path):
+    import hashlib
+
+    out = tmp_path / "o"
+    xi = ["xi", "--model", "b", "--dims", "8", "--alphas", "1",
+          "--k-base", str(out / "K_m8.json"), "--out", str(out)]
+    assert main(["coeffs", "--m", "4,8", "--out", str(out)]) == 0
+    assert main(xi) == 0
+
+    def recorded(man):
+        runs = [man] + man["earlier_runs"]
+        return {f["path"]: f["sha256"] for run in runs for f in run["files"]}
+
+    man = manifest_of(out)
+    assert man["config"]["command"] == "xi"
+    assert [run["config"]["command"] for run in man["earlier_runs"]] == ["coeffs"]
+    names = sorted(os.listdir(out))
+    names.remove("manifest.json")
+    assert len(names) == 15
+    assert recorded(man) == {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                             for name in names}
+    # a rerun replaces its own entry, so the file stays bounded
+    assert main(xi) == 0
+    assert main(["coeffs", "--m", "4,8", "--out", str(out)]) == 0
+    man = manifest_of(out)
+    assert man["config"]["command"] == "coeffs"
+    assert [run["config"]["command"] for run in man["earlier_runs"]] == ["xi"]
+    assert len(recorded(man)) == 15
+
+
+@pytest.mark.parametrize("text", ["{", "[1, 2]", '{"config": {}}',
+                                  '{"config": 1, "version": "", "environment": {}, '
+                                  '"stages": [], "files": []}',
+                                  '{"config": {}, "version": "", "environment": {}, '
+                                  '"stages": [], "files": [], "earlier_runs": [3]}'],
+                         ids=["not-json", "list", "keys", "config", "earlier"])
+def test_malformed_manifest_in_out_dir_exit_2_no_files(tmp_path, capsys, text):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "manifest.json").write_text(text)
+    assert main(["spectrum", "--model", "a", "--dims", "4", "--out", str(out)]) == 2
+    assert "not a manifest" in capsys.readouterr().err
+    assert os.listdir(out) == ["manifest.json"]
 
 
 def test_manifest_records_environment_and_stage_peaks(tmp_path):

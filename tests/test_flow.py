@@ -14,6 +14,7 @@ from swapcool.flow import (
     logistic_curve,
     t_c_bounds,
 )
+from swapcool.protocol import deviation_term
 from swapcool.quantum import PureState, basis_state, energy_moments, uniform_state
 
 
@@ -368,3 +369,40 @@ def test_flow_series_row_blocks(monkeypatch):
     blocked = flow_series(phi, spec, times)
     np.testing.assert_array_equal(blocked.p_ground, full.p_ground)
     np.testing.assert_array_equal(blocked.energy, full.energy)
+
+
+def deviation_cases():
+    rng = np.random.default_rng(21)
+    empty = np.array([0.0, 0.0, 0.6, 0.0, 0.3j, -0.5, 0.2 + 0.1j])   # two empty levels
+    return [
+        pytest.param(build_model("d", 16, 1.0), uniform_state(16), id="d16-uniform"),
+        pytest.param(build_model("b", 8, 1.0), random_state(rng, 8), id="b8-complex"),
+        pytest.param(build_model("c", 32, 1.0), random_state(rng, 32), id="c32-complex"),
+        pytest.param(Spectrum(np.array([-1.0, -1.0, -0.25, 0.0, 0.0, 0.5, 1.0])),
+                     PureState(empty / np.linalg.norm(empty)), id="empty-levels"),
+        pytest.param(Spectrum(np.sort(rng.uniform(-1.0, 1.0, size=7))), random_state(rng, 7),
+                     id="distinct"),
+    ]
+
+
+@pytest.mark.parametrize("spec,phi", deviation_cases())
+def test_level_deviation_matches_dense_sum(spec, phi):
+    # signed times, a zero and a negative weight
+    times = np.array([-2.0, -0.5, -0.01, 0.0, 0.01, 0.3, 1.5, 4.0])
+    weights = np.array([0.7, 1.0, 0.0, 2.0, -0.4, 1.3, 0.2, 0.9])
+    dense = sum(w * deviation_term(spec, flow_exact(phi, spec, t))
+                for t, w in zip(times, weights))
+    lf = level_flow(phi, spec)
+    levels = lf.deviation(times, weights)
+    assert levels.shape == (lf.levels.size,) * 2
+    np.testing.assert_array_equal(levels, levels.T)
+    np.testing.assert_allclose(lf.to_eigenbasis(levels), dense, rtol=0, atol=1e-14)
+    # an empty level has no row or column
+    np.testing.assert_array_equal(levels[lf.weights == 0], 0.0)
+
+
+def test_level_deviation_skips_zero_weights():
+    lf = level_flow(uniform_state(8), build_model("c", 8, 1.0))
+    np.testing.assert_array_equal(lf.deviation([0.5, 1e9], [1.0, 0.0]),
+                                  lf.deviation([0.5], [1.0]))
+    np.testing.assert_array_equal(lf.deviation([0.5], [0.0]), 0.0)

@@ -170,3 +170,15 @@ def test_json_round_trip():
 def test_spectrum_rejects_unsorted():
     with pytest.raises(ValueError):
         Spectrum(np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_spectrum_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Spectrum(np.sort(np.array([-1.0, 0.0, bad])))
+
+
+def test_overflowing_double_is_refused():
+    # 1e308 - (-1e308) overflows to inf
+    with pytest.raises(ValueError, match="finite"):
+        double(build_model("b", 8, 1e308))

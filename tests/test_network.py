@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from swapcool import experiments
+from swapcool import experiments, kernels
 from swapcool import network as network_mod
 from swapcool.cli import main as cli_main
 from swapcool.hamiltonian import Spectrum, build_model
@@ -63,6 +63,28 @@ def test_improved_terminal_profile_and_validity(m):
     sched = build_improved_schedule(m)
     np.testing.assert_array_equal(sched.terminal_tau, improved_terminal_profile(m))
     sched.validate()
+
+
+def test_improved_pair_count_closed_form():
+    for m in range(1, 41):
+        steps = kernels.ImprovedSteps(m)
+        for _ in steps:
+            pass
+        assert steps.n_pairs == kernels.improved_pair_count(m), m
+    assert build_improved_schedule(41).n_pairs == kernels.improved_pair_count(41)
+    # the recorded counts of m = 128 and 256
+    assert kernels.improved_pair_count(128) == 707_264
+    assert kernels.improved_pair_count(256) == 5_625_216
+
+
+@pytest.mark.parametrize("off, error, message", [
+    (-1, RuntimeError, "failed to terminate within its 29 pairs"),
+    (1, AssertionError, "filled 30 of its 31 pairs")])
+def test_build_improved_schedule_checks_the_pair_count(monkeypatch, off, error, message):
+    exact = kernels.improved_pair_count
+    monkeypatch.setattr(kernels, "improved_pair_count", lambda m: exact(m) + off)
+    with pytest.raises(error, match=message):
+        build_improved_schedule(4)
 
 
 def test_improved_stats_match_full_build():
@@ -276,7 +298,7 @@ def test_xi_matches_dense_evaluation():
     for col in range(2 * m + 1):
         dev = deviation_term(spec, flow_exact(phi, spec, (col - m) * dt))
         dense += row[col] * float(np.real(
-            target.amplitudes.conj() @ dev.matrix @ target.amplitudes))
+            target.amplitudes.conj() @ dev @ target.amplitudes))
     assert xi_statistic(spec, phi, m, dt, row) == pytest.approx(dt * dt * dense, abs=1e-13)
 
 
@@ -297,7 +319,7 @@ def test_xi_matches_dense_evaluation_complex_state():
     dense = 0.0
     for col in range(2 * m + 1):
         dev = deviation_term(spec, flow_exact(phi, spec, (col - m) * dt))
-        dense += row[col] * float(np.real(target.conj() @ dev.matrix @ target))
+        dense += row[col] * float(np.real(target.conj() @ dev @ target))
     assert dense != 0.0
     assert xi_statistic(spec, phi, m, dt, row) == pytest.approx(dt * dt * dense, rel=1e-12)
 
@@ -330,6 +352,71 @@ def test_predict_reduced_state_m1_matches_expansion():
     pred = predict_reduced_state(sched, 2, kmat, spec, phi, 0.05)
     rho_a_pred, _ = expand_short_time(phi, spec, 0.05)
     np.testing.assert_allclose(pred.matrix, rho_a_pred.matrix, atol=1e-13)
+
+
+def dense_prediction(sched, j, kmat, spec, phi, dt):
+    """The per-column dense reference: the flow projector at tau_j dt minus
+    dt^2 times the K-weighted deviation_term matrices."""
+    from swapcool.flow import flow_exact
+    from swapcool.protocol import deviation_term
+
+    row = kmat.k[j - 1]
+    mat = flow_exact(phi, spec, int(sched.terminal_tau[j - 1]) * dt).projector()
+    for col in np.flatnonzero(row):
+        dev = deviation_term(spec, flow_exact(phi, spec, (col - kmat.m) * dt))
+        mat = mat - dt * dt * row[col] * dev
+    return mat
+
+
+@pytest.mark.parametrize("kind,dim", [("c", 128), ("b", 256), ("d", 256)])
+def test_predict_reduced_state_at_large_dim_matches_dense(kind, dim):
+    rng = np.random.default_rng(dim)
+    spec = build_model(kind, dim, 1.0)
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    sched = build_improved_schedule(3)
+    kmat = propagate_coefficients(sched)
+    dt = 0.05
+    for phi in (uniform_state(dim), PureState(v / np.linalg.norm(v))):
+        for j in (1, 4, 6):
+            pred = predict_reduced_state(sched, j, kmat, spec, phi, dt).matrix
+            want = dense_prediction(sched, j, kmat, spec, phi, dt)
+            np.testing.assert_allclose(pred, want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind,dim,complex_start", [("a", 8, False), ("c", 64, False),
+                                                    ("d", 16, True)])
+def test_xi_is_the_terminal_prediction_infidelity(kind, dim, complex_start):
+    # xi = dt^2 <phi_T|sum_k K[2m,k] D|phi_T>, and system 2m ends at tau = m
+    from swapcool.flow import flow_exact
+
+    spec = build_model(kind, dim, 1.0)
+    phi = uniform_state(dim)
+    if complex_start:
+        v = np.array([1.0, 1j]) @ np.random.default_rng(3).normal(size=(2, dim))
+        phi = PureState(v / np.linalg.norm(v))
+    m, dt = 8, 0.04
+    sched = build_improved_schedule(m)
+    kmat = propagate_coefficients(sched)
+    assert sched.terminal_tau[2 * m - 1] == m
+    target = flow_exact(phi, spec, m * dt).amplitudes
+    pred = predict_reduced_state(sched, 2 * m, kmat, spec, phi, dt).matrix
+    xi = xi_statistic(spec, phi, m, dt, kmat.row(2 * m))
+    assert xi != 0.0
+    assert xi == pytest.approx(1.0 - float(np.real(target.conj() @ pred @ target)),
+                               rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("j, k_m, message", [(0, 2, "system j must lie in"),
+                                              (-1, 2, "system j must lie in"),
+                                              (5, 2, "system j must lie in"),
+                                              (4, 3, "K has 6 rows for 4 systems")])
+def test_predict_reduced_state_rejects_bad_input(j, k_m, message):
+    # j = 0 and -1 would otherwise index from the end, and a K of another m
+    # would be read against this schedule's terminal taus
+    kmat = propagate_coefficients(build_improved_schedule(k_m))
+    with pytest.raises(ValueError, match=message):
+        predict_reduced_state(build_improved_schedule(2), j, kmat, build_model("b", 8, 1.0),
+                              uniform_state(8), 0.01)
 
 
 def test_predict_reduced_state_dt0():

@@ -179,8 +179,7 @@ def test_deviation_term_traceless_hermitian():
     rng = np.random.default_rng(4)
     for _ in range(20):
         spec, phi = random_case(rng)
-        dev = deviation_term(spec, phi)
-        mat = dev.matrix
+        mat = deviation_term(spec, phi)
         assert abs(np.trace(mat)) < 1e-12
         assert np.abs(mat - mat.conj().T).max() < 1e-12
 

@@ -33,6 +33,14 @@ def test_report_shape():
     assert all("details" in c for c in report["checks"])
 
 
+def test_run_verify_records_each_check_seconds(monkeypatch):
+    monkeypatch.setattr(verify, "CORE_CHECKS",
+                        (verify.check_coefficient_values, verify.check_min_m_bounds))
+    report = verify.report_to_json(verify.run_verify())
+    assert [c["name"] for c in report["checks"]] == ["coefficient_values", "min_m_bounds"]
+    assert all(c["seconds"] > 0 for c in report["checks"])
+
+
 def test_xi_trends_known_red_leg_is_isolated():
     # the saturation leg is documented-red; the other legs must stay green
     res = verify.check_xi_trends()
@@ -102,7 +110,7 @@ def test_expansion_check_fails_without_the_deviation_term(monkeypatch):
     expand = verify.expand_short_time
 
     def first_order_only(phi, spec, dt):
-        dev = deviation_term(spec, phi).matrix
+        dev = deviation_term(spec, phi)
         return tuple(DensityOperator(rho.matrix + dt * dt * dev)
                      for rho in expand(phi, spec, dt))
 

@@ -153,7 +153,7 @@ def _models(cfg: argparse.Namespace):
 
 
 def cmd_spectrum(cfg: argparse.Namespace, manifest: RunManifest) -> int:
-    for kind, dim, spec, _ in _models(cfg):
+    for kind, dim, spec, _, _ in _models(cfg):
         name = _spectrum_name("spectrum", kind, dim, cfg.double)
         write_atomic(os.path.join(cfg.out, name + ".txt"), spectrum_to_text(spec), manifest)
         write_atomic(os.path.join(cfg.out, name + ".json"),
@@ -162,7 +162,7 @@ def cmd_spectrum(cfg: argparse.Namespace, manifest: RunManifest) -> int:
 
 
 def cmd_flow(cfg: argparse.Namespace, manifest: RunManifest) -> int:
-    for kind, dim, spec, step in _models(cfg):
+    for kind, dim, spec, _, step in _models(cfg):
         csv_text = experiments.flow_csv(spec, step, cfg.t_max, cfg.target_c)
         name = _spectrum_name("flow", kind, dim, cfg.double)
         write_atomic(os.path.join(cfg.out, name + ".csv"), csv_text, manifest)
@@ -170,7 +170,7 @@ def cmd_flow(cfg: argparse.Namespace, manifest: RunManifest) -> int:
 
 
 def cmd_protocol(cfg: argparse.Namespace, manifest: RunManifest) -> int:
-    for kind, dim, spec, step in _models(cfg):
+    for kind, dim, spec, _, step in _models(cfg):
         payload = protocol_output_to_json(apply_protocol(uniform_state(spec.dim), spec, step))
         payload["model"] = kind
         payload["dim"] = dim
@@ -218,8 +218,7 @@ def cmd_xi(cfg: argparse.Namespace, manifest: RunManifest) -> int:
     with open(path) as fh:
         base = coefficients_from_json(json.load(fh))
     manifest.config["k_base"] = os.path.basename(path)     # the file actually read
-    rows = experiments.xi_sweep(cfg.model, cfg.dims, cfg.alphas, base,
-                                cfg.delta, cfg.dt, cfg.double)
+    rows = experiments.xi_sweep(_models(cfg), cfg.alphas, base)
     write_atomic(os.path.join(cfg.out, "xi.csv"), experiments.xi_rows_to_csv(rows), manifest)
     return EXIT_OK
 
@@ -331,7 +330,7 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     # behind on invalid input; flow also checks the time grid of each spectrum
     # it runs on (its default t_max needs target_c inside the t_c window)
     if "model" in command.settings:
-        for _, _, spec, step in _models(cfg):
+        for _, _, spec, _, step in _models(cfg):
             if "t_max" in command.settings:
                 experiments.flow_steps(spec, step, cfg.t_max, cfg.target_c)
     return cfg

@@ -38,15 +38,15 @@ FLOW_MAX_POINTS = 2 ** 18    # rows of one flow CSV; dim 4096 at the default gri
 
 def model_sweep(models, dims, delta: float, use_double: bool = False,
                 dt: float | None = None):
-    """(kind, dim, spectrum, step) per model and dim: the spectrum doubled when
-    asked, the step dt or else DEFAULT_DT_FACTOR / gap."""
+    """(kind, dim, spectrum, its stats, step) per model and dim: the spectrum
+    doubled when asked, the step dt or else DEFAULT_DT_FACTOR / gap."""
     for kind in models:
         for dim in dims:
             spec = build_model(kind, dim, delta)
             if use_double:
                 spec = double(spec)
-            step = DEFAULT_DT_FACTOR / spectral_stats(spec).gap if dt is None else dt
-            yield kind, dim, spec, step
+            stats = spectral_stats(spec)
+            yield kind, dim, spec, stats, DEFAULT_DT_FACTOR / stats.gap if dt is None else dt
 
 
 # --- flow dataset -------------------------------------------------------------
@@ -92,13 +92,10 @@ class CoeffsDataset:
         return "\n".join(lines) + "\n"
 
 
-def _cut_csvs(matrices: dict[int, CoefficientMatrix]) -> dict[str, str]:
-    """The eight standard cuts of the smallest matrix, every larger matrix
-    rescaled into its frame."""
-    ms = sorted(matrices)
-    m0 = ms[0]
-    frames = [rescaled_frame(matrices[m], m0) for m in ms]
-    header = ",".join(f"m{m}" for m in ms)
+def _cut_csvs(m0: int, frames: dict[int, np.ndarray]) -> dict[str, str]:
+    """The eight standard cuts in the frame of m0, one column per m of the
+    frames, in their order (each matrix read in that frame by rescaled_frame)."""
+    header = ",".join(f"m{m}" for m in frames)
 
     def cut(first_column: str, labels, values) -> str:
         """One CSV: a label column, then one column per matrix."""
@@ -112,24 +109,26 @@ def _cut_csvs(matrices: dict[int, CoefficientMatrix]) -> dict[str, str]:
     for idx, j0 in enumerate(rows, start=1):
         cuts[f"cut_row{idx}_j{j0}"] = cut(
             "kprime", [repr(float(kp)) for kp in range(-m0, m0 + 1)],
-            [f[j0 - 1] for f in frames])
+            [f[j0 - 1] for f in frames.values()])
     for idx, kp0 in enumerate(columns, start=1):
         cuts[f"cut_col{idx}_k{kp0}"] = cut(
-            "j", [str(j) for j in range(1, 2 * m0 + 1)], [f[:, kp0 + m0] for f in frames])
+            "j", [str(j) for j in range(1, 2 * m0 + 1)],
+            [f[:, kp0 + m0] for f in frames.values()])
     return cuts
 
 
 def coeffs_dataset(m_list) -> CoeffsDataset:
+    """K and step* for every m; the scaling reports and the cut files both
+    compare the multiples of the smallest m, in its frame."""
     m_list = sorted(m_list)
     runs = [kernels.ImprovedSteps(m) for m in m_list]
     matrices = {run.m: propagate_coefficients(run) for run in runs}
     step_stars = {run.m: run.step_star for run in runs}
     m0 = m_list[0]
-    reports = []
-    for m in m_list[1:]:
-        if m % m0 == 0:
-            reports.append(check_scaling_law(matrices[m0], matrices[m], m // m0))
-    return CoeffsDataset(matrices, step_stars, reports, _cut_csvs(matrices))
+    compared = [m for m in m_list if m % m0 == 0]
+    reports = [check_scaling_law(matrices[m0], matrices[m], m // m0) for m in compared[1:]]
+    frames = {m: rescaled_frame(matrices[m], m0) for m in compared}
+    return CoeffsDataset(matrices, step_stars, reports, _cut_csvs(m0, frames))
 
 
 # --- network-error diagnostic (xi) sweep ---------------------------------------
@@ -149,13 +148,12 @@ class XiRow:
 XI_CSV_HEADER = "model,dim,alpha,m_alpha,xi,m_bound,constraint_violated,reference_only"
 
 
-def xi_sweep(models, dims, alphas, k_base: CoefficientMatrix, delta: float = 1.0,
-             dt: float | None = None, use_double: bool = False) -> list[XiRow]:
-    """The xi diagnostic per (model, dim, alpha), coefficients rescaled from
-    the base matrix.  Model (a) rows are reference-only; every row carries the
-    total-energy bound check on its m_alpha."""
+def xi_sweep(sweep, alphas, k_base: CoefficientMatrix) -> list[XiRow]:
+    """The xi diagnostic per (model, dim, alpha) of a model_sweep, coefficients
+    rescaled from the base matrix.  Model (a) rows are reference-only; every
+    row carries the total-energy bound check on its m_alpha."""
     rows = []
-    for kind, dim, spec, step in model_sweep(models, dims, delta, use_double, dt):
+    for kind, dim, spec, _, step in sweep:
         phi0 = uniform_state(spec.dim)
         e0, _ = energy_moments(phi0, spec)
         bound = min_m_bound(spec, e0)

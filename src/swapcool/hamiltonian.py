@@ -43,8 +43,6 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class SpectralStats:
-    ground_energy: float
-    top_energy: float
     gap: float            # distance from the ground eigenspace to the next level
     span: float           # top minus ground
     ground_degeneracy: int
@@ -112,7 +110,7 @@ def spectral_stats(spec: Spectrum) -> SpectralStats:
     if j_deg >= spec.dim:
         raise ValueError("constant spectrum: gap undefined")
     gap = float(ev[j_deg] - ground)
-    return SpectralStats(ground, top, gap, top - ground, j_deg)
+    return SpectralStats(gap, top - ground, j_deg)
 
 
 def min_m_bound(spec: Spectrum, e0: float) -> float:

@@ -127,28 +127,36 @@ class ImprovedSteps:
     Iterating runs the network once and yields, step by step, the arrays
     (lo, hi, tau, fresh) of that step's pairs in firing order (by tau, then
     index), tau being the pair's common tau before the step and fresh
-    marking a pair that meets at tau = 0 after the first step.  Once drained
-    it holds ``n_pairs``, ``step_star`` and the int64 ``terminal_tau``,
-    checked against the closed form.
+    marking a pair that meets at tau = 0 after the first step.  ``n_pairs``
+    is the closed form ``improved_pair_count(m)``, and the run must fill it
+    exactly: RuntimeError on overrun, AssertionError on shortfall.  Once
+    drained it holds ``step_star`` and the int64 ``terminal_tau``, checked
+    against the closed form.
     """
 
     def __init__(self, m: int):
         self.m = int(m)
         self.n_systems = 2 * self.m
-        self.n_pairs = self.step_star = self.terminal_tau = None
+        self.n_pairs = improved_pair_count(self.m)
+        self.step_star = self.terminal_tau = None
 
     def __iter__(self):
         cb = _key_layout(self.n_systems)[0]
         mask = (1 << cb) - 1
         results = [None]
-        self.n_pairs = 0
+        filled = 0
         for step, (keys, hi) in enumerate(_lockstep([self.m], results)):
             hp = np.flatnonzero(hi)
-            self.n_pairs += hp.size
+            filled += hp.size
+            if filled > self.n_pairs:
+                raise RuntimeError(f"pairing schedule failed to terminate within its "
+                                   f"{self.n_pairs} pairs (step {step})")
             # the higher key has already moved up one tau
             upper = keys[hp]
             tau = (upper >> cb) - (self.n_systems + 1)
             yield keys[hp - 1] & mask, upper & mask, tau, (tau == 0) & (step > 0)
+        if filled != self.n_pairs:
+            raise AssertionError(f"pair stream filled {filled} of its {self.n_pairs} pairs")
         self.step_star, self.terminal_tau = results[0]
         if np.any(self.terminal_tau != improved_terminal_profile(self.m)):
             raise AssertionError("improved terminal profile mismatch")

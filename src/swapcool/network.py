@@ -43,6 +43,7 @@ EXACT_ORACLE_ENERGY_TOL = 1e-10
 TOURNAMENT_MAX_N = 20   # 2^20 systems, about a million pair events (as at m=128)
 IMPROVED_MAX_M = 256    # the largest m whose schedule criterion 08 verifies; 5.6 M pair events
 JSON_BLOCK_PAIRS = 1 << 15   # pair events encoded per block of the schedule JSON
+XI_MAX_M_ALPHA = 1 << 20     # steps of one xi point, ~65 B each; the pinned sweep's largest is 463
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,8 @@ class Schedule:
         """Replay the events one step at a time and check the pairing rules;
         raises AssertionError on the first violation.
 
-        The replay keeps one tau per system: every pair of a step must share
+        An improved schedule must first hold the closed-form pair count.  The
+        replay keeps one tau per system: every pair of a step must share
         its recorded tau_common, after which the lower member moves to tau-1
         and the higher to tau+1; the final taus must equal terminal_tau.
         """
@@ -100,6 +102,9 @@ class Schedule:
         if np.any(members[1:] == members[:-1]):
             raise AssertionError("pairs within a step are not disjoint")
         del members
+        if self.kind == "improved" and n != kernels.improved_pair_count(self.m):
+            raise AssertionError(f"pair count {n}, not the improved network's "
+                                 f"{kernels.improved_pair_count(self.m)}")
         tau = np.zeros(self.n_systems, dtype=np.int64)
         first = 0    # the step's first event
         for lo, hi, common, _ in self:
@@ -121,28 +126,20 @@ class Schedule:
 
 def build_improved_schedule(m: int) -> Schedule:
     """The improved network's pair stream stored as event arrays, int32 in
-    (step, lo) order, filled step by step into columns of the exact pair
-    count.  A stream that runs past the count cannot terminate as the
-    improved network does (RuntimeError); one that stops short of it raises
-    AssertionError."""
+    (step, lo) order, filled step by step into columns of the stream's exact
+    pair count (which the stream checks)."""
     steps = kernels.ImprovedSteps(m)
-    n = kernels.improved_pair_count(steps.m)
-    es, el, eh, et = (np.empty(n, dtype=np.int32) for _ in range(4))
-    fresh = np.empty(n, dtype=np.uint8)
+    es, el, eh, et = (np.empty(steps.n_pairs, dtype=np.int32) for _ in range(4))
+    fresh = np.empty(steps.n_pairs, dtype=np.uint8)
     end = 0
     for step, (lo, hi, tau, f) in enumerate(steps):
         start, end = end, end + lo.size
-        if end > n:
-            raise RuntimeError(f"pairing schedule failed to terminate within its {n} pairs "
-                               f"(step {step})")
         order = lo.argsort()     # pairs ordered by lo within the step
         es[start:end] = step
         el[start:end] = lo[order]
         eh[start:end] = hi[order]
         et[start:end] = tau[order]
         fresh[start:end] = f[order]
-    if end != n:
-        raise AssertionError(f"pair stream filled {end} of its {n} pairs")
     return Schedule("improved", steps.m, steps.n_systems, steps.step_star, es, el, eh, et,
                     fresh, steps.terminal_tau)
 
@@ -245,13 +242,14 @@ def scaling_cut_positions(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def rescaled_frame(k_large: CoefficientMatrix, m: int) -> np.ndarray:
-    """K^(2 lam m) read in the frame of a matrix with this m, lam = k_large.m // m.
+    """K^(2 lam m) read in the frame of a matrix with this m, lam = k_large.m / m.
 
     Entry (j, k') is K^(2 lam m)[lam j, lam k'] / lam for 1-based rows j = 1..2m
-    and columns k' = -m..m.  Since lam m <= k_large.m, every lam j and lam k'
-    lies inside k_large.
+    and columns k' = -m..m.  ValueError unless k_large.m is a multiple of m.
     """
-    lam = k_large.m // m
+    lam, rest = divmod(k_large.m, m)
+    if rest:
+        raise ValueError(f"K of m = {k_large.m} has no frame of m = {m}: not a multiple")
     rows = lam * np.arange(1, 2 * m + 1) - 1
     cols = lam * np.arange(-m, m + 1) + k_large.m
     return k_large.k[np.ix_(rows, cols)] / lam
@@ -307,6 +305,9 @@ def xi_result(spec: Spectrum, phi0: PureState, dt: float, alpha: int,
     m = m_alpha(spec, phi0, dt, alpha)
     if m == 0:
         return XiResult(spec.dim, alpha, 0, 0.0)
+    if m > XI_MAX_M_ALPHA:
+        raise ValueError(f"dt = {dt!r} needs m_alpha = {m} steps, over the cap "
+                         f"{XI_MAX_M_ALPHA}")
     row = rescale_row(k_base, m)
     return XiResult(spec.dim, alpha, m, xi_statistic(spec, phi0, m, dt, row))
 

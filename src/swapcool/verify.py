@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonian import MODEL_KINDS, Spectrum, build_model, double, min_m_bound, spectral_stats
+from .hamiltonian import MODEL_KINDS, Spectrum, build_model, double, min_m_bound
 from .quantum import PureState, energy_moments, uniform_state
 from .protocol import (
     apply_protocol,
@@ -155,21 +155,13 @@ def _worst(cases) -> tuple[float, str | None]:
     return worst, worst_case
 
 
-def _models(dims):
-    """(kind, dim, spectrum, its stats, the uniform start) for every model at
-    every dim, at unit energy scale."""
-    for kind in MODEL_KINDS:
-        for dim in dims:
-            spec = build_model(kind, dim, 1.0)
-            yield kind, dim, spec, spectral_stats(spec), uniform_state(dim)
-
-
 def _cubic_per_model(name: str, error) -> CheckResult:
     """error(phi, spec, dt) per model at dim 8 under dt halving from 0.02/gap;
     every halving ratio must show a cubic remainder."""
     results = {}
     ok = True
-    for kind, _, spec, stats, phi in _models((8,)):
+    for kind, dim, spec, stats, _ in experiments.model_sweep(MODEL_KINDS, (8,), 1.0):
+        phi = uniform_state(dim)
         errs = [error(phi, spec, factor / stats.gap) for factor in (0.02, 0.01, 0.005)]
         ratios = _halving_ratios(errs)
         results[kind] = {"errors": errs, "ratios": ratios}
@@ -233,11 +225,12 @@ def check_printed_variant_guard() -> CheckResult:
 def check_rk4_vs_exact(dims=ACCEPT_DIMS) -> CheckResult:
     """Integrator cross-check on every model and dim up to t_c(0.99)."""
     def cases():
-        for kind, dim, spec, stats, phi in _models(dims):
+        for kind, dim, spec, stats, step in experiments.model_sweep(MODEL_KINDS, dims, 1.0):
             _, t_end = t_c_bounds(dim, stats.gap, stats.span, 0.99,
                                   stats.ground_degeneracy)
+            phi = uniform_state(dim)
             diff = float(np.linalg.norm(
-                flow_rk4(phi, spec, t_end, 0.01 / stats.gap).amplitudes
+                flow_rk4(phi, spec, t_end, step).amplitudes
                 - flow_exact(phi, spec, t_end).amplitudes))
             yield diff, f"{kind}/{dim}"
     worst, worst_case = _worst(cases())
@@ -264,10 +257,10 @@ def check_logistic_sandwich(dims=ACCEPT_DIMS, points: int = 400) -> CheckResult:
     the population to round-off."""
     violations = []
     worst_coincide = 0.0
-    for kind, dim, spec, stats, phi in _models(dims):
+    for kind, dim, spec, stats, _ in experiments.model_sweep(MODEL_KINDS, dims, 1.0):
         _, t_c = t_c_bounds(dim, stats.gap, stats.span, 0.99, stats.ground_degeneracy)
         times = np.linspace(0.0, 2.0 * t_c, points)
-        series = flow_series(phi, spec, times)
+        series = flow_series(uniform_state(dim), spec, times)
         pg, lower, upper = series.p_ground, series.lower_bound, series.upper_bound
         violation = np.maximum(lower - pg, pg - upper)
         i = int(np.argmax(violation))
@@ -286,12 +279,11 @@ def check_t_c_window(dims=ACCEPT_DIMS) -> CheckResult:
     """Measured target-crossing times inside the logistic window, one grid
     step of slack on either side."""
     def cases():
-        for kind, dim, spec, stats, phi in _models(dims):
-            grid = 0.01 / stats.gap
+        for kind, dim, spec, stats, grid in experiments.model_sweep(MODEL_KINDS, dims, 1.0):
             for c in (0.5, 0.9):
                 t_lo, t_hi = t_c_bounds(dim, stats.gap, stats.span, c,
                                         stats.ground_degeneracy)
-                crossing = grid * find_steps_for_p1(phi, spec, c, grid)
+                crossing = grid * find_steps_for_p1(uniform_state(dim), spec, c, grid)
                 yield max(t_lo - crossing, crossing - t_hi) - grid, f"{kind}/{dim}/c={c}"
     worst_excess, worst_case = _worst(cases())
     return CheckResult("t_c_window", worst_excess <= 0.0,
@@ -428,7 +420,7 @@ def check_xi_trends(dims=ACCEPT_DIMS, alphas=(1, 2, 3, 4)) -> CheckResult:
     """Monotonicity in alpha, dim-saturation increments, the model-(a)
     reference flagging, and the pinned golden values."""
     base = experiments.base_coefficient_matrix()
-    rows = experiments.xi_sweep(["a", "b", "c", "d"], dims, alphas, base)
+    rows = experiments.xi_sweep(experiments.model_sweep(MODEL_KINDS, dims, 1.0), alphas, base)
     table = {(r.model, r.dim, r.alpha): r for r in rows}
 
     alpha_ok, alpha_viol = True, []
@@ -527,13 +519,13 @@ def check_min_m_bounds(dims=ACCEPT_DIMS) -> CheckResult:
 def check_determinism() -> CheckResult:
     """Byte-identical dataset emissions for identical configs."""
     def emit():
-        (_, _, spec, step), = experiments.model_sweep(["b"], [16], 1.0)
+        (_, _, spec, _, step), = experiments.model_sweep(["b"], [16], 1.0)
         flow = experiments.flow_csv(spec, step)
         data = experiments.coeffs_dataset((4, 8))
         coeff = data.matrices[8].to_csv() + data.step_star_csv()
         base = experiments.base_coefficient_matrix(16)
         xi = experiments.xi_rows_to_csv(
-            experiments.xi_sweep(["b"], [8, 16], [1, 2], base))
+            experiments.xi_sweep(experiments.model_sweep(["b"], [8, 16], 1.0), [1, 2], base))
         return flow + coeff + xi + "".join(sorted(data.cuts.values()))
 
     first, second = emit(), emit()

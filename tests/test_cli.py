@@ -17,6 +17,12 @@ from swapcool.cli import (
     parse_switch,
 )
 from swapcool.experiments import write_atomic
+from swapcool.network import (
+    XI_MAX_M_ALPHA,
+    build_improved_schedule,
+    coefficients_to_json,
+    propagate_coefficients,
+)
 
 
 def read(path):
@@ -229,6 +235,21 @@ def test_xi_malformed_k_base_exit_2_no_xi(tmp_path, payload):
     assert main(["xi", "--model", "b", "--dims", "8", "--k-base", str(base),
                  "--out", str(out)]) == 2
     assert not (out / "xi.csv").exists()
+
+
+def test_xi_m_alpha_over_the_cap_exit_2_no_files(tmp_path, capsys):
+    # dt 1e-6 on a/8 needs about 1.9 M steps, which the coefficient row and
+    # the contraction would hold at about 65 B each
+    out = tmp_path / "o"
+    base = tmp_path / "K.json"
+    base.write_bytes(coefficients_to_json(propagate_coefficients(build_improved_schedule(2))))
+    assert main(["xi", "--model", "a", "--dims", "8", "--alphas", "1", "--dt", "1e-6",
+                 "--k-base", str(base), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    m = int(err.split("m_alpha = ")[1].split()[0])
+    assert m > XI_MAX_M_ALPHA
+    assert err == f"error: dt = 1e-06 needs m_alpha = {m} steps, over the cap {XI_MAX_M_ALPHA}\n"
+    assert not out.exists()
 
 
 def test_config_file_with_flag_override(tmp_path):

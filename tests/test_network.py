@@ -67,10 +67,8 @@ def test_improved_terminal_profile_and_validity(m):
 
 def test_improved_pair_count_closed_form():
     for m in range(1, 41):
-        steps = kernels.ImprovedSteps(m)
-        for _ in steps:
-            pass
-        assert steps.n_pairs == kernels.improved_pair_count(m), m
+        counted = sum(lo.size for lo, _, _, _ in kernels.ImprovedSteps(m))
+        assert counted == kernels.improved_pair_count(m), m
     assert build_improved_schedule(41).n_pairs == kernels.improved_pair_count(41)
     # the recorded counts of m = 128 and 256
     assert kernels.improved_pair_count(128) == 707_264
@@ -85,6 +83,9 @@ def test_build_improved_schedule_checks_the_pair_count(monkeypatch, off, error, 
     monkeypatch.setattr(kernels, "improved_pair_count", lambda m: exact(m) + off)
     with pytest.raises(error, match=message):
         build_improved_schedule(4)
+    # the stream checks its own count, so the coefficient path raises alike
+    with pytest.raises(error, match=message):
+        propagate_coefficients(kernels.ImprovedSteps(4))
 
 
 def test_improved_stats_match_full_build():
@@ -127,6 +128,15 @@ def test_validate_rejects_mutation(build, mutate, message):
     sched.validate()
     with pytest.raises(AssertionError, match=message):
         dataclasses.replace(sched, **mutate(sched)).validate()
+
+
+def test_validate_rejects_a_dropped_last_step():
+    sched = build_improved_schedule(4)
+    keep = sched.step < sched.step_star - 1
+    dropped = dataclasses.replace(sched, **{f: getattr(sched, f)[keep] for f in
+                                            ("step", "lo", "hi", "tau_common", "fresh")})
+    with pytest.raises(AssertionError, match="pair count 29, not the improved network's 30"):
+        dropped.validate()
 
 
 def test_validate_rejects_shared_member_within_step():
@@ -256,6 +266,22 @@ def test_scaling_law_matches_entrywise_loop(m_small, m_large):
     assert report.n_compared == d_all.size
     assert report.global_median == float(np.median(d_all))
     assert report.global_max == float(d_all.max())
+
+
+def test_rescaled_frame_rejects_a_non_multiple():
+    k24 = propagate_coefficients(kernels.ImprovedSteps(24))
+    with pytest.raises(ValueError, match="not a multiple"):
+        rescaled_frame(k24, 16)
+
+
+@pytest.mark.parametrize("m_list, compared", [([16, 24], [16]), ([4, 6, 8, 12], [4, 8, 12])])
+def test_cut_files_and_reports_compare_the_multiples_of_the_smallest_m(m_list, compared):
+    data = experiments.coeffs_dataset(m_list)
+    assert sorted(data.matrices) == m_list
+    assert [r.m_large for r in data.reports] == compared[1:]
+    assert len(data.cuts) == 8
+    for text in data.cuts.values():
+        assert text.split("\n", 1)[0].split(",")[1:] == [f"m{m}" for m in compared]
 
 
 def test_rescale_row_identity():

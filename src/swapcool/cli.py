@@ -39,8 +39,16 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 
 
+def _distinct(values: list) -> list:
+    """The values; ValueError if one repeats, since it would run twice."""
+    if len(set(values)) < len(values):
+        raise ValueError(f"a value repeats in {values}")
+    return values
+
+
 def parse_dims(text: str) -> list[int]:
-    """"8..512" doubles from 8 to 512; "8,16,32" is an explicit list."""
+    """"8..512" doubles from 8 to 512; "8,16,32" is an explicit list of
+    distinct dims."""
     text = text.strip()
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
@@ -56,15 +64,15 @@ def parse_dims(text: str) -> list[int]:
     dims = [int(tok) for tok in text.split(",") if tok.strip()]
     if not dims:
         raise ValueError("empty dims list")
-    return dims
+    return _distinct(dims)
 
 
 def parse_int_list(text: str, least: int, most: float = float("inf")) -> list[int]:
-    """A comma list of one or more ints, each in [least, most]."""
+    """A comma list of one or more distinct ints, each in [least, most]."""
     values = [int(tok) for tok in text.split(",") if tok.strip()]
     if not values or min(values) < least or max(values) > most:
         raise ValueError(f"need one or more values, each in [{least}, {most}], got {text!r}")
-    return values
+    return _distinct(values)
 
 
 def parse_models(text: str) -> list[str]:
@@ -72,7 +80,7 @@ def parse_models(text: str) -> list[str]:
     for kind in models:
         if kind not in MODEL_KINDS:
             raise ValueError(f"unknown model {kind!r}")
-    return models
+    return _distinct(models)
 
 
 def parse_finite(text: str) -> float:

@@ -17,6 +17,9 @@ MODEL_KINDS = ("a", "b", "c", "d")
 
 #: absolute tolerance (in energy units) for counting degenerate ground levels
 DEGENERACY_TOL = 1e-12
+#: the most levels build_model or double will allocate (8 MB of floats); the
+#: sweeps in use reach dim 4096, and dim 512 doubled
+MAX_LEVELS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,8 @@ def build_model(kind: str, dim: int, delta: float) -> Spectrum:
         raise ValueError(f"unknown model kind {kind!r}")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
+    if not 2 <= dim <= MAX_LEVELS:
+        raise ValueError(f"dim must lie in [2, {MAX_LEVELS}], got {dim}")
     if kind == "a":
         ev = np.zeros(dim)
         ev[0] = -delta
@@ -96,6 +99,9 @@ def double(spec: Spectrum) -> Spectrum:
     bound on the network size (see :func:`min_m_bound`).
     """
     ev = spec.eigenvalues
+    if spec.dim ** 2 > MAX_LEVELS:
+        raise ValueError(f"doubling dim {spec.dim} gives {spec.dim ** 2} levels, over the "
+                         f"cap {MAX_LEVELS}")
     with np.errstate(over="ignore"):     # an overflow is refused by Spectrum
         diffs = (ev[:, None] - ev[None, :]).ravel()
     label = f"double({spec.label})" if spec.label else "double"

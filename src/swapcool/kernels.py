@@ -177,8 +177,6 @@ def accumulate_rows(n_systems, m, blocks):
     K = np.zeros((n_systems, ncols))
     slot = np.arange(n_systems)
     for a, b, tau, f in blocks:
-        if not a.size:
-            continue
         col = tau + m
         if col.min() < 0 or col.max() >= ncols:
             raise AssertionError("coefficient column out of range")

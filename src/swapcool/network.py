@@ -19,9 +19,9 @@ Hamiltonian.  A network run is anything that yields its pairs one step at a
 time as (lo, hi, tau, fresh) blocks and knows its m and n_systems: a stored
 Schedule, or the kernels.ImprovedSteps stream that the chip-firing loop of
 :mod:`swapcool.kernels` fires one whole network step at a time.
-propagate_coefficients accumulates either; build_improved_schedule stores
-the stream as event arrays; improved_schedule_stats keeps step* and the
-terminal profile only.
+propagate_coefficients accumulates either and simulate_network_exact
+propagates either; build_improved_schedule stores the stream as event
+arrays; improved_schedule_stats keeps step* and the terminal profile only.
 """
 
 from __future__ import annotations
@@ -71,6 +71,8 @@ class Schedule:
         return int(self.step.size)
 
     def __iter__(self):
+        if not self.n_pairs:
+            return
         bounds = (np.flatnonzero(self.step[1:] != self.step[:-1]) + 1).tolist()
         for s0, s1 in zip([0] + bounds, bounds + [self.step.size]):
             yield self.lo[s0:s1], self.hi[s0:s1], self.tau_common[s0:s1], self.fresh[s0:s1]
@@ -79,41 +81,36 @@ class Schedule:
         """Replay the events one step at a time and check the pairing rules;
         raises AssertionError on the first violation.
 
-        An improved schedule must first hold the closed-form pair count.  The
-        replay keeps one tau per system: every pair of a step must share
-        its recorded tau_common, after which the lower member moves to tau-1
-        and the higher to tau+1; the final taus must equal terminal_tau.
+        The steps must run 0, 1, 2, ... without a gap, below step_star.  The
+        replay keeps one tau per system: the pairs of a step must share no
+        member and each must share its recorded tau_common, after which the
+        lower member moves to tau-1 and the higher to tau+1.  Then an improved
+        schedule must hold the closed-form pair count, and the final taus
+        must equal terminal_tau.
         """
         n = self.n_pairs
         if np.any(self.step[1:] < self.step[:-1]):
             raise AssertionError("events are not in step order")
         if n and int(self.step[-1]) >= self.step_star:
             raise AssertionError("events extend past step_star")
-        # one key step * n_systems + member per pair member, built in place
-        # (int32 whenever every key fits); a repeated key is a shared member
-        wide = self.step_star * self.n_systems > np.iinfo(np.int32).max
-        members = np.empty(2 * n, dtype=np.int64 if wide else np.int32)
-        members[:n] = self.step
-        members[:n] *= self.n_systems
-        members[n:] = members[:n]
-        members[:n] += self.lo
-        members[n:] += self.hi
-        members.sort()
-        if np.any(members[1:] == members[:-1]):
-            raise AssertionError("pairs within a step are not disjoint")
-        del members
+        # in step order, the steps run 0, 1, 2, ... iff each change is the next value
+        if n and (self.step[0] != 0 or
+                  np.count_nonzero(self.step[1:] != self.step[:-1]) != self.step[-1]):
+            raise AssertionError("steps do not run 0, 1, 2, ... without a gap")
+        tau = np.zeros(self.n_systems, dtype=np.int64)
+        last = np.full(self.n_systems, -1)     # the last step each system paired in
+        for step, (lo, hi, common, _) in enumerate(self):
+            last[lo] = step
+            last[hi] = step
+            if np.count_nonzero(last == step) != 2 * lo.size:
+                raise AssertionError(f"pairs within step {step} are not disjoint")
+            if (tau[lo] != common).any() or (tau[hi] != common).any():
+                raise AssertionError(f"paired systems disagree on tau at step {step}")
+            tau[lo] = common - 1
+            tau[hi] = common + 1
         if self.kind == "improved" and n != kernels.improved_pair_count(self.m):
             raise AssertionError(f"pair count {n}, not the improved network's "
                                  f"{kernels.improved_pair_count(self.m)}")
-        tau = np.zeros(self.n_systems, dtype=np.int64)
-        first = 0    # the step's first event
-        for lo, hi, common, _ in self:
-            if (tau[lo] != common).any() or (tau[hi] != common).any():
-                raise AssertionError(
-                    f"paired systems disagree on tau at step {int(self.step[first])}")
-            tau[lo] = common - 1
-            tau[hi] = common + 1
-            first += lo.size
         if np.any(tau != self.terminal_tau):
             raise AssertionError("terminal tau profile mismatch")
         expect_fresh = (self.tau_common == 0) & (self.step != 0)
@@ -363,24 +360,27 @@ def predict_reduced_state(sched: Schedule, j: int, kmat: CoefficientMatrix,
 
 # --- exact joint-space oracle -------------------------------------------------
 
-def simulate_network_exact(sched: Schedule, spec: Spectrum, phi0: PureState,
+def simulate_network_exact(run, spec: Spectrum, phi0: PureState,
                            dt: float, return_energy_trace: bool = False):
-    """Propagate the full joint density matrix through a schedule.
+    """Propagate the full joint density matrix through a network run: a
+    stored Schedule, a kernels.ImprovedSteps stream or any other run with
+    n_systems that yields its (lo, hi, tau, fresh) step blocks.
 
     Correlations between systems are kept exactly; a fresh replacement traces
     the pair out (discarding its correlations) and tensors in new copies of
     the initial state.  Total energy is asserted invariant, to
     EXACT_ORACLE_ENERGY_TOL, across every protocol application (it only jumps
     at fresh replacements).  Toy scale only: dim^n_systems is capped at 1024.
-    With return_energy_trace the per-event totals and the replaced members'
-    energies come back as well.
+    With return_energy_trace the per-pair totals and the replaced members'
+    energies come back as well, each record naming its block's ordinal as
+    the step.
 
     rho is held as a 2n-axis tensor: axis f is system f's row index and axis
     n + f its column index, so a pair unitary contracts two axes on each side
     (dim^(2n+2) multiply-adds) instead of multiplying joint x joint matrices.
     """
     _check_dims(phi0, spec)
-    dim, n = spec.dim, sched.n_systems
+    dim, n = spec.dim, run.n_systems
     if dim ** n > EXACT_ORACLE_JOINT_CAP:
         raise ValueError(f"joint dimension {dim ** n} exceeds cap {EXACT_ORACLE_JOINT_CAP}")
     amp = phi0.amplitudes
@@ -406,11 +406,12 @@ def simulate_network_exact(sched: Schedule, spec: Spectrum, phi0: PureState,
 
     energies = member_energies(rho)
     trace = []
-    for p in range(sched.n_pairs):
-        step, lo, hi = int(sched.step[p]), int(sched.lo[p]), int(sched.hi[p])
+    pairs = ((step, lo, hi, replace) for step, (los, his, _, fresh) in enumerate(run)
+             for lo, hi, replace in zip(los.tolist(), his.tolist(), fresh.tolist()))
+    for step, lo, hi, replace in pairs:
         record = {"step": step, "pair": (lo, hi),
-                  "fresh": bool(sched.fresh[p]), "total_before": sum(energies)}
-        if sched.fresh[p]:
+                  "fresh": bool(replace), "total_before": sum(energies)}
+        if replace:
             record["replaced_energies"] = (energies[lo], energies[hi])
             traced = rows + cols
             traced[n + lo], traced[n + hi] = lo, hi

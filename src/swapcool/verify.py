@@ -57,6 +57,7 @@ SANDWICH_SLACK = 1e-12
 MODEL_A_COINCIDE_TOL = 1e-9
 P1_LN7_TOL = 1e-6
 ACCEPT_DIMS = tuple(2 ** p for p in range(3, 10))
+SANDWICH_POINTS = 400     # grid points of each logistic-sandwich trajectory
 
 
 @dataclass
@@ -222,10 +223,11 @@ def check_printed_variant_guard() -> CheckResult:
                         "printed_trace_defect": trace_defect})
 
 
-def check_rk4_vs_exact(dims=ACCEPT_DIMS) -> CheckResult:
+def check_rk4_vs_exact() -> CheckResult:
     """Integrator cross-check on every model and dim up to t_c(0.99)."""
     def cases():
-        for kind, dim, spec, stats, step in experiments.model_sweep(MODEL_KINDS, dims, 1.0):
+        for kind, dim, spec, stats, step in experiments.model_sweep(MODEL_KINDS, ACCEPT_DIMS,
+                                                                     1.0):
             _, t_end = t_c_bounds(dim, stats.gap, stats.span, 0.99,
                                   stats.ground_degeneracy)
             phi = uniform_state(dim)
@@ -251,15 +253,15 @@ def check_rk4_vs_exact(dims=ACCEPT_DIMS) -> CheckResult:
                         "h_halving_ratios": ratios, "ratio_range": RK4_RATIO_RANGE})
 
 
-def check_logistic_sandwich(dims=ACCEPT_DIMS, points: int = 400) -> CheckResult:
+def check_logistic_sandwich() -> CheckResult:
     """Ground-subspace population between the gap- and span-rate logistics on
     a grid to twice t_c(0.99); for the gap==span model the curves must pin
     the population to round-off."""
     violations = []
     worst_coincide = 0.0
-    for kind, dim, spec, stats, _ in experiments.model_sweep(MODEL_KINDS, dims, 1.0):
+    for kind, dim, spec, stats, _ in experiments.model_sweep(MODEL_KINDS, ACCEPT_DIMS, 1.0):
         _, t_c = t_c_bounds(dim, stats.gap, stats.span, 0.99, stats.ground_degeneracy)
-        times = np.linspace(0.0, 2.0 * t_c, points)
+        times = np.linspace(0.0, 2.0 * t_c, SANDWICH_POINTS)
         series = flow_series(uniform_state(dim), spec, times)
         pg, lower, upper = series.p_ground, series.lower_bound, series.upper_bound
         violation = np.maximum(lower - pg, pg - upper)
@@ -275,11 +277,12 @@ def check_logistic_sandwich(dims=ACCEPT_DIMS, points: int = 400) -> CheckResult:
                         "model_a_max_gap_to_p1": worst_coincide})
 
 
-def check_t_c_window(dims=ACCEPT_DIMS) -> CheckResult:
+def check_t_c_window() -> CheckResult:
     """Measured target-crossing times inside the logistic window, one grid
     step of slack on either side."""
     def cases():
-        for kind, dim, spec, stats, grid in experiments.model_sweep(MODEL_KINDS, dims, 1.0):
+        for kind, dim, spec, stats, grid in experiments.model_sweep(MODEL_KINDS, ACCEPT_DIMS,
+                                                                     1.0):
             for c in (0.5, 0.9):
                 t_lo, t_hi = t_c_bounds(dim, stats.gap, stats.span, c,
                                         stats.ground_degeneracy)
@@ -496,12 +499,12 @@ def check_xi_trends(dims=ACCEPT_DIMS, alphas=(1, 2, 3, 4)) -> CheckResult:
                         "golden_rows_compared": compared})
 
 
-def check_min_m_bounds(dims=ACCEPT_DIMS) -> CheckResult:
+def check_min_m_bounds() -> CheckResult:
     """The total-energy bound: dim/2 for the single-well model with a uniform
     start, vacuous (exactly 1) for symmetric spectra and every doubling."""
     ok = True
     details = {}
-    for dim in dims:
+    for dim in ACCEPT_DIMS:
         spec = build_model("a", dim, 1.0)
         e0, _ = energy_moments(uniform_state(dim), spec)
         bound = min_m_bound(spec, e0)

@@ -17,6 +17,7 @@ from swapcool.cli import (
     parse_switch,
 )
 from swapcool.experiments import write_atomic
+from swapcool.hamiltonian import MAX_LEVELS
 from swapcool.network import (
     XI_MAX_M_ALPHA,
     build_improved_schedule,
@@ -382,6 +383,17 @@ def test_flow_non_positive_t_max_exit_2_no_files(tmp_path, capsys, t_max):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dims, double", [(MAX_LEVELS + 1, False), (1025, True)],
+                         ids=["dim", "doubled"])
+def test_flow_spectrum_over_the_level_cap_exit_2_no_files(tmp_path, capsys, dims, double):
+    # the smallest dims past the cap: 2^20 + 1 levels, or 1025^2 once doubled
+    out = tmp_path / "o"
+    argv = ["flow", "--model", "a", "--dims", str(dims), "--out", str(out)]
+    assert main(argv + ["--double"] * double) == 2
+    assert str(MAX_LEVELS) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_flow_grid_above_cap_exit_2_no_files(tmp_path, monkeypatch):
     # model a at dim 8 has gap 1, so the default step is 0.01 and this t_max asks
     # for FLOW_MAX_POINTS + 1 rows
@@ -433,6 +445,36 @@ def test_flag_the_command_does_not_read_exit_2(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(out)])
     assert exc.value.code == 2
+    assert not out.exists()
+
+
+# every (command, list setting) pair: a setting is a list when its default parses to one
+LIST_SETTINGS = [(name, key) for name, command in COMMANDS.items() for key in command.settings
+                 if SETTINGS[key].default is not None
+                 and isinstance(SETTINGS[key].parse(SETTINGS[key].default), list)]
+
+
+def test_list_settings_are_the_known_four():
+    assert {key for _, key in LIST_SETTINGS} == {"model", "dims", "alphas", "m_list"}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, key", LIST_SETTINGS,
+                         ids=[f"{name}-{key}" for name, key in LIST_SETTINGS])
+def test_repeated_list_value_exit_2_no_files(tmp_path, capsys, command, key, source):
+    # a repeat would run the same model, dim, alpha or m twice (and `coeffs`
+    # would report K_m against itself)
+    first = SETTINGS[key].parse(SETTINGS[key].default)[0]
+    text = f"{first},{first}"
+    out = tmp_path / "o"
+    if source == "flag":
+        argv = [command, SETTINGS[key].flag, text]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={text}\n")
+        argv = [command, "--config", str(cfg)]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"{key}: a value repeats" in capsys.readouterr().err
     assert not out.exists()
 
 

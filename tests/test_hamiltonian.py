@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from swapcool.hamiltonian import (
+    MAX_LEVELS,
     Spectrum,
     build_model,
     double,
@@ -182,3 +183,13 @@ def test_overflowing_double_is_refused():
     # 1e308 - (-1e308) overflows to inf
     with pytest.raises(ValueError, match="finite"):
         double(build_model("b", 8, 1e308))
+
+
+def test_level_cap_is_inclusive():
+    # 8 MB of floats each: the cap itself builds, one level more is refused
+    assert build_model("a", MAX_LEVELS, 1.0).dim == MAX_LEVELS
+    assert double(build_model("a", 1024, 1.0)).dim == MAX_LEVELS
+    with pytest.raises(ValueError, match=str(MAX_LEVELS)):
+        build_model("a", MAX_LEVELS + 1, 1.0)
+    with pytest.raises(ValueError, match=str(MAX_LEVELS)):
+        double(build_model("a", 1025, 1.0))

@@ -149,6 +149,44 @@ def test_validate_rejects_shared_member_within_step():
         sched.validate()
 
 
+def pair_repeated_at_step(sched, k):
+    """The schedule with the first pair of step k fired twice in that step."""
+    i = int(np.flatnonzero(sched.step == k)[0])
+    return dataclasses.replace(sched, **{f: np.insert(getattr(sched, f), i, getattr(sched, f)[i])
+                                         for f in ("step", "lo", "hi", "tau_common", "fresh")})
+
+
+@pytest.mark.parametrize("build, k", [(lambda: build_tournament_schedule(3), 2),
+                                      (lambda: build_improved_schedule(4), 3)],
+                         ids=["tournament", "improved"])
+def test_validate_names_the_step_of_a_shared_member(build, k):
+    # both copies of the pair agree on tau, and a tournament has no pair count,
+    # so on the tournament the shared members are the only fault
+    sched = pair_repeated_at_step(build(), k)
+    with pytest.raises(AssertionError, match=f"pairs within step {k} are not disjoint"):
+        sched.validate()
+
+
+@pytest.mark.parametrize("moved", [lambda step: step == step[-1], lambda step: step >= 0],
+                         ids=["last_step", "every_step"])
+def test_validate_rejects_steps_that_skip(moved):
+    # steps 0, 1, 3 or 1, 2, 3: a block's ordinal would no longer be its step
+    sched = build_tournament_schedule(3)
+    stretched = dataclasses.replace(sched, step=sched.step + moved(sched.step),
+                                    step_star=sched.step_star + 1)
+    with pytest.raises(AssertionError, match="steps do not run 0, 1, 2, ... without a gap"):
+        stretched.validate()
+
+
+def test_zero_pair_schedule_yields_no_block():
+    empty = np.zeros(0, dtype=np.int32)
+    sched = Schedule("improved", 1, 2, 0, empty, empty, empty, empty,
+                     np.zeros(0, dtype=np.uint8), np.zeros(2, dtype=np.int64))
+    assert list(sched) == []
+    kmat = propagate_coefficients(sched)
+    assert kmat.k.shape == (2, 3) and not kmat.k.any()
+
+
 def test_tournament_n1_equals_improved_m1():
     t1 = build_tournament_schedule(1)
     i1 = build_improved_schedule(1)
@@ -611,6 +649,44 @@ def test_exact_network_matches_kron_reference(kind, size, dim):
         # the comparison above can tell the two slot orders apart
         swapped, _ = _reference_network(sched, spec, phi, 0.3, first="lo")
         assert max(np.abs(r.matrix - w).max() for r, w in zip(reduced, swapped)) > 1e-3
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_exact_network_reads_the_streamed_run(m):
+    # the stream fires a step's pairs by tau, the stored schedule by lo; the
+    # pairs of a step are disjoint, so the two runs agree to round-off
+    rng = np.random.default_rng(m)
+    spec = Spectrum(np.sort(rng.uniform(-1.0, 1.0, size=2)))
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    phi = PureState(v / np.linalg.norm(v))
+    streamed, trace = simulate_network_exact(kernels.ImprovedSteps(m), spec, phi, 0.2,
+                                             return_energy_trace=True)
+    stored, ref_trace = simulate_network_exact(build_improved_schedule(m), spec, phi, 0.2,
+                                               return_energy_trace=True)
+    for got, want in zip(streamed, stored, strict=True):
+        assert np.abs(got.matrix - want.matrix).max() <= 1e-13
+
+    def by_step(records):
+        steps = {}
+        for rec in records:
+            steps.setdefault(rec["step"], []).append(rec)
+        return steps
+
+    got_steps, want_steps = by_step(trace), by_step(ref_trace)
+    assert list(got_steps) == list(want_steps) == list(range(len(want_steps)))
+    reordered = False
+    for step, want in want_steps.items():
+        got = {rec["pair"]: rec for rec in got_steps[step]}
+        assert sorted(got) == sorted(rec["pair"] for rec in want)
+        reordered |= list(got) != [rec["pair"] for rec in want]
+        assert got_steps[step][-1]["total_after"] == pytest.approx(want[-1]["total_after"],
+                                                                   abs=1e-13)
+        for rec in want:
+            assert got[rec["pair"]]["fresh"] == rec["fresh"]
+            if rec["fresh"]:
+                np.testing.assert_allclose(got[rec["pair"]]["replaced_energies"],
+                                           rec["replaced_energies"], rtol=0, atol=1e-13)
+    assert reordered == (m == 4)
 
 
 def _dict_per_pair_reference(sched):

@@ -194,14 +194,15 @@ def _write_json(path: str, text: bytearray, manifest: RunManifest) -> None:
 
 
 def cmd_schedule(cfg: argparse.Namespace, manifest: RunManifest) -> int:
-    for m in cfg.m_list:
-        sched = build_improved_schedule(m)
-        sched.validate()
-        _write_json(os.path.join(cfg.out, f"schedule_m{m}.json"), schedule_to_json(sched),
-                    manifest)
+    builds = {f"schedule_m{m}.json": partial(build_improved_schedule, m) for m in cfg.m_list}
     if cfg.tournament is not None:
-        _write_json(os.path.join(cfg.out, f"schedule_tournament_n{cfg.tournament}.json"),
-                    schedule_to_json(build_tournament_schedule(cfg.tournament)), manifest)
+        builds[f"schedule_tournament_n{cfg.tournament}.json"] = partial(
+            build_tournament_schedule, cfg.tournament)
+    for name, build in builds.items():
+        sched = build()
+        sched.validate()
+        _write_json(os.path.join(cfg.out, name), schedule_to_json(sched), manifest)
+        del sched       # held one at a time: --m 256 is 5.6 M pairs
     return EXIT_OK
 
 

@@ -126,7 +126,7 @@ def coeffs_dataset(m_list) -> CoeffsDataset:
     step_stars = {run.m: run.step_star for run in runs}
     m0 = m_list[0]
     compared = [m for m in m_list if m % m0 == 0]
-    reports = [check_scaling_law(matrices[m0], matrices[m], m // m0) for m in compared[1:]]
+    reports = [check_scaling_law(matrices[m0], matrices[m]) for m in compared[1:]]
     frames = {m: rescaled_frame(matrices[m], m0) for m in compared}
     return CoeffsDataset(matrices, step_stars, reports, _cut_csvs(m0, frames))
 

@@ -81,22 +81,23 @@ class Schedule:
         """Replay the events one step at a time and check the pairing rules;
         raises AssertionError on the first violation.
 
-        The steps must run 0, 1, 2, ... without a gap, below step_star.  The
+        A stored run has one shape: every pair 0 <= lo < hi < n_systems, and
+        step blocks that are exactly 0, 1, ..., step_star - 1 in order.  The
         replay keeps one tau per system: the pairs of a step must share no
         member and each must share its recorded tau_common, after which the
         lower member moves to tau-1 and the higher to tau+1.  Then an improved
         schedule must hold the closed-form pair count, and the final taus
         must equal terminal_tau.
         """
-        n = self.n_pairs
-        if np.any(self.step[1:] < self.step[:-1]):
-            raise AssertionError("events are not in step order")
-        if n and int(self.step[-1]) >= self.step_star:
-            raise AssertionError("events extend past step_star")
-        # in step order, the steps run 0, 1, 2, ... iff each change is the next value
-        if n and (self.step[0] != 0 or
-                  np.count_nonzero(self.step[1:] != self.step[:-1]) != self.step[-1]):
-            raise AssertionError("steps do not run 0, 1, 2, ... without a gap")
+        n, steps, star = self.n_pairs, self.step, self.step_star
+        if n and (self.lo.min() < 0 or self.hi.max() >= self.n_systems
+                  or np.any(self.lo >= self.hi)):
+            raise AssertionError(f"pairs are not 0 <= lo < hi < {self.n_systems}")
+        # in step order from 0, the steps run 0, 1, 2, ... iff each change is the next value
+        gapless = not n or (steps[0] == 0 and not np.any(steps[1:] < steps[:-1])
+                            and np.count_nonzero(steps[1:] != steps[:-1]) == steps[-1])
+        if not gapless or (int(steps[-1]) + 1 if n else 0) != star:
+            raise AssertionError(f"steps are not 0 to step_star - 1 = {star - 1} in order")
         tau = np.zeros(self.n_systems, dtype=np.int64)
         last = np.full(self.n_systems, -1)     # the last step each system paired in
         for step, (lo, hi, common, _) in enumerate(self):
@@ -234,8 +235,8 @@ class ScalingReport:
 
 def scaling_cut_positions(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The eight standard cuts of a 2m-row coefficient matrix: four 1-based
-    rows and four deviation-time columns k', at quarter positions."""
-    return (m // 2, m, 3 * m // 2, 2 * m), (-m // 2, 0, m // 2, m - 1)
+    rows (row 1 for m // 2 = 0) and four deviation-time columns k', at quarter positions."""
+    return (max(1, m // 2), m, 3 * m // 2, 2 * m), (-m // 2, 0, m // 2, m - 1)
 
 
 def rescaled_frame(k_large: CoefficientMatrix, m: int) -> np.ndarray:
@@ -259,20 +260,17 @@ def _cut_summary(axis: str, position: int, d: np.ndarray) -> dict:
             "count": int(d.size)}
 
 
-def check_scaling_law(k_small: CoefficientMatrix, k_large: CoefficientMatrix,
-                      lam: int) -> ScalingReport:
-    """Compare K^(2m) with lam^{-1} K^(2*lam*m) on the eight standard cuts
-    (four rows and four columns at quarter positions) plus globally.
+def check_scaling_law(k_small: CoefficientMatrix, k_large: CoefficientMatrix) -> ScalingReport:
+    """Compare K^(2m) with lam^{-1} K^(2*lam*m), lam = k_large.m / k_small.m,
+    on the eight standard cuts (four rows and four columns at quarter
+    positions) plus globally; ValueError unless lam is an integer.
 
     Columns are matched in deviation-time coordinates (k' -> lam*k'), the
     alignment that anchors both matrices at k' = 0.  Each entry's deviation
     is |a - b| / max(|a|, |b|); entries where both sides are at most 1e-3 of
     the small row's peak are skipped.
     """
-    if k_large.m != lam * k_small.m:
-        raise ValueError("need k_large.m == lam * k_small.m")
-    ms, ml = k_small.m, k_large.m
-    a = k_small.k
+    ms, ml, a = k_small.m, k_large.m, k_small.k
     b = rescaled_frame(k_large, ms)
     keep = np.maximum(a, b) > 1e-3 * a.max(axis=1, keepdims=True)
     dev = np.zeros_like(a)
@@ -280,10 +278,8 @@ def check_scaling_law(k_small: CoefficientMatrix, k_large: CoefficientMatrix,
     rows, columns = scaling_cut_positions(ms)
     cuts = [_cut_summary("row", j, dev[j - 1][keep[j - 1]]) for j in rows]
     cuts += [_cut_summary("column", kp, dev[:, kp + ms][keep[:, kp + ms]]) for kp in columns]
-    d_all = dev[keep]
-    return ScalingReport(ms, ml, lam, cuts,
-                         float(np.median(d_all)) if d_all.size else 0.0,
-                         float(d_all.max()) if d_all.size else 0.0, int(d_all.size))
+    whole = _cut_summary("all", 0, dev[keep])
+    return ScalingReport(ms, ml, ml // ms, cuts, whole["median"], whole["max"], whole["count"])
 
 
 @dataclass(frozen=True)
@@ -464,14 +460,16 @@ def schedule_to_json(sched: Schedule) -> bytearray:
 
 
 def schedule_from_json(obj: dict) -> Schedule:
+    """The schedule a JSON object holds, once it passes Schedule.validate."""
     pairs = obj["pairs"]
     arr = lambda key, dtype: np.asarray([p[key] for p in pairs], dtype=dtype)
-    lo = np.asarray([p["pair"][0] for p in pairs], dtype=np.int32)
-    hi = np.asarray([p["pair"][1] for p in pairs], dtype=np.int32)
-    return Schedule(obj["kind"], int(obj["m"]), int(obj["n_systems"]),
-                    int(obj["step_star"]), arr("step", np.int32), lo, hi,
-                    arr("tau", np.int32), arr("fresh", np.uint8),
-                    np.asarray(obj["terminal_tau"], dtype=np.int64))
+    lo, hi = np.asarray([p["pair"] for p in pairs], dtype=np.int32).reshape(len(pairs), 2).T
+    sched = Schedule(obj["kind"], int(obj["m"]), int(obj["n_systems"]),
+                     int(obj["step_star"]), arr("step", np.int32), lo, hi,
+                     arr("tau", np.int32), arr("fresh", np.uint8),
+                     np.asarray(obj["terminal_tau"], dtype=np.int64))
+    sched.validate()
+    return sched
 
 
 def coefficients_to_json(kmat: CoefficientMatrix) -> bytearray:

@@ -32,6 +32,7 @@ from .flow import (
     t_c_bounds,
 )
 from .network import (
+    IMPROVED_MAX_M,
     build_improved_schedule,
     build_tournament_schedule,
     improved_terminal_profile,
@@ -294,7 +295,7 @@ def check_t_c_window() -> CheckResult:
                         "worst_case": worst_case})
 
 
-def check_schedule_profiles(m_max: int = 256) -> CheckResult:
+def check_schedule_profiles(m_max: int = IMPROVED_MAX_M) -> CheckResult:
     """Terminal tau profiles for every m, the two hand-computed step counts,
     and the boundedness of step_star / m^2 (m_max >= 4: the ratios start at m = 4)."""
     if m_max < 4:

@@ -20,6 +20,7 @@ from swapcool.experiments import write_atomic
 from swapcool.hamiltonian import MAX_LEVELS
 from swapcool.network import (
     XI_MAX_M_ALPHA,
+    Schedule,
     build_improved_schedule,
     coefficients_to_json,
     propagate_coefficients,
@@ -145,6 +146,23 @@ def test_schedule_command(tmp_path):
     assert tourn["n_systems"] == 8
 
 
+def test_schedule_validates_every_file_it_writes(tmp_path, monkeypatch):
+    # the tournament goes through the same build, validate, write loop as the improved
+    validated = []
+    validate = Schedule.validate
+
+    def counting(sched):
+        validated.append((sched.kind, sched.n_systems))
+        validate(sched)
+
+    monkeypatch.setattr(Schedule, "validate", counting)
+    out = str(tmp_path / "o")
+    assert main(["schedule", "--m", "1,2", "--tournament", "3", "--out", out]) == 0
+    assert validated == [("improved", 2), ("improved", 4), ("tournament", 8)]
+    assert [f["path"] for f in manifest_of(out)["files"]] == [
+        "schedule_m1.json", "schedule_m2.json", "schedule_tournament_n3.json"]
+
+
 @pytest.mark.parametrize("n", ["0", "21"])
 def test_schedule_tournament_out_of_range_exit_2_no_files(tmp_path, monkeypatch, n):
     def refuse(n):
@@ -178,6 +196,16 @@ def test_coeffs_command(tmp_path):
     assert table[0] == "m,step_star,step_star_over_m2"
     summary = json.loads(read(os.path.join(out, "scaling_summary.json")))
     assert summary["reports"][0]["lambda"] == 2
+
+
+def test_row_cuts_stay_inside_the_matrix_at_m1(tmp_path):
+    # row m // 2 = 0 of a 2-row matrix was read through index -1, the last row
+    out = str(tmp_path / "o")
+    assert main(["coeffs", "--m", "1,2", "--out", out]) == 0
+    assert sorted(n for n in os.listdir(out) if n.startswith("cut_row")) == [
+        "cut_row1_j1.csv", "cut_row2_j1.csv", "cut_row3_j1.csv", "cut_row4_j2.csv"]
+    (report,) = json.loads(read(os.path.join(out, "scaling_summary.json")))["reports"]
+    assert [c["position"] for c in report["cuts"] if c["axis"] == "row"] == [1, 1, 1, 2]
 
 
 def test_step_star_table_includes_hand_values(tmp_path):

@@ -58,7 +58,7 @@ def test_improved_m2_hand_trace():
     np.testing.assert_array_equal(sched.terminal_tau, [-2, -1, 1, 2])
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 16, 33])
+@pytest.mark.parametrize("m", [*range(1, 42), 128])
 def test_improved_terminal_profile_and_validity(m):
     sched = build_improved_schedule(m)
     np.testing.assert_array_equal(sched.terminal_tau, improved_terminal_profile(m))
@@ -102,6 +102,11 @@ def bumped(arr, i):
     return out
 
 
+# the two messages of a stored run's shape
+PAIRS = "pairs are not 0 <= lo < hi < "
+STEPS = "steps are not 0 to step_star - 1 = "
+
+
 def first_and_last_swapped(sched):
     order = np.arange(sched.n_pairs)
     order[[0, -1]] = order[[-1, 0]]
@@ -118,9 +123,13 @@ def first_and_last_swapped(sched):
                  "terminal tau profile mismatch", id="terminal_tau"),
     pytest.param(lambda s: {"fresh": bumped(s.fresh, -1) % 2},
                  "fresh flags wrong", id="fresh"),
-    pytest.param(lambda s: {"step_star": s.step_star - 1},
-                 "past step_star", id="past_step_star"),
-    pytest.param(first_and_last_swapped, "not in step order", id="step_order"),
+    pytest.param(lambda s: {"step_star": s.step_star - 1}, STEPS, id="past_step_star"),
+    pytest.param(lambda s: {"step_star": s.step_star + 1}, STEPS, id="step_star_above"),
+    pytest.param(first_and_last_swapped, STEPS, id="step_order"),
+    # numpy wraps a negative index, so every lo moved down by n_systems replays as before
+    pytest.param(lambda s: {"lo": s.lo - s.n_systems}, PAIRS, id="negative_member"),
+    pytest.param(lambda s: {"hi": s.hi + s.n_systems}, PAIRS, id="member_past_n_systems"),
+    pytest.param(lambda s: {"lo": s.hi, "hi": s.lo}, PAIRS, id="lo_not_below_hi"),
 ])
 def test_validate_rejects_mutation(build, mutate, message):
     # validate must reject each mutation with the message of the check it targets
@@ -130,13 +139,20 @@ def test_validate_rejects_mutation(build, mutate, message):
         dataclasses.replace(sched, **mutate(sched)).validate()
 
 
+def test_tournament_schedules_validate():
+    for n in range(1, 9):
+        build_tournament_schedule(n).validate()
+
+
 def test_validate_rejects_a_dropped_last_step():
     sched = build_improved_schedule(4)
     keep = sched.step < sched.step_star - 1
-    dropped = dataclasses.replace(sched, **{f: getattr(sched, f)[keep] for f in
-                                            ("step", "lo", "hi", "tau_common", "fresh")})
+    kept = {f: getattr(sched, f)[keep] for f in ("step", "lo", "hi", "tau_common", "fresh")}
+    # with step_star kept the steps stop short of it; lowered too, only the pair count is off
+    with pytest.raises(AssertionError, match=f"{STEPS}{sched.step_star - 1} in order"):
+        dataclasses.replace(sched, **kept).validate()
     with pytest.raises(AssertionError, match="pair count 29, not the improved network's 30"):
-        dropped.validate()
+        dataclasses.replace(sched, step_star=sched.step_star - 1, **kept).validate()
 
 
 def test_validate_rejects_shared_member_within_step():
@@ -174,7 +190,7 @@ def test_validate_rejects_steps_that_skip(moved):
     sched = build_tournament_schedule(3)
     stretched = dataclasses.replace(sched, step=sched.step + moved(sched.step),
                                     step_star=sched.step_star + 1)
-    with pytest.raises(AssertionError, match="steps do not run 0, 1, 2, ... without a gap"):
+    with pytest.raises(AssertionError, match=STEPS + "3 in order"):
         stretched.validate()
 
 
@@ -243,22 +259,24 @@ def test_coefficients_deterministic():
 
 def test_scaling_law_lambda1_zero_deviation():
     kmat = propagate_coefficients(build_improved_schedule(8))
-    report = check_scaling_law(kmat, kmat, 1)
+    report = check_scaling_law(kmat, kmat)
     assert report.global_median == 0.0
     assert report.global_max == 0.0
 
 
 def test_scaling_law_shape_mismatch():
+    # lambda is k_large.m / k_small.m, so a pair whose m's are not multiples has none
     k8 = propagate_coefficients(build_improved_schedule(8))
-    k16 = propagate_coefficients(build_improved_schedule(16))
-    with pytest.raises(ValueError):
-        check_scaling_law(k8, k16, 3)
+    k12 = propagate_coefficients(build_improved_schedule(12))
+    with pytest.raises(ValueError, match="not a multiple"):
+        check_scaling_law(k8, k12)
 
 
 def test_scaling_law_eight_cuts_reported():
     k8 = propagate_coefficients(build_improved_schedule(8))
     k16 = propagate_coefficients(build_improved_schedule(16))
-    report = check_scaling_law(k8, k16, 2)
+    report = check_scaling_law(k8, k16)
+    assert report.lam == 2
     assert len(report.cuts) == 8
     axes = {c["axis"] for c in report.cuts}
     assert axes == {"row", "column"}
@@ -289,11 +307,12 @@ def test_scaling_law_matches_entrywise_loop(m_small, m_large):
     for j in range(1, 2 * m_small + 1):
         for kp in range(-m_small, m_small + 1):
             assert frame[j - 1, kp + m_small] == k_large.k[lam * j - 1][lam * kp + m_large] / lam
-    report = check_scaling_law(k_small, k_large, lam)
+    report = check_scaling_law(k_small, k_large)
+    assert report.lam == lam
     ms = m_small
     all_rows, all_cols = range(1, 2 * ms + 1), range(-ms, ms + 1)
     expect = [_entrywise_deviations(k_small, k_large, lam, [j], all_cols)
-              for j in (ms // 2, ms, 3 * ms // 2, 2 * ms)]
+              for j in (max(1, ms // 2), ms, 3 * ms // 2, 2 * ms)]
     expect += [_entrywise_deviations(k_small, k_large, lam, all_rows, [kp])
                for kp in (-ms // 2, 0, ms // 2, ms - 1)]
     for cut, d in zip(report.cuts, expect):
@@ -770,6 +789,30 @@ def test_schedule_json_round_trip():
     assert events_of(back) == events_of(sched)
     assert back.step_star == sched.step_star
     np.testing.assert_array_equal(back.terminal_tau, sched.terminal_tau)
+
+
+def tampered(payload, key, value, i=0):
+    payload["pairs"][i][key] = value
+    return payload
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda p: tampered(p, "pair", [-2, p["pairs"][0]["pair"][1]]), PAIRS),
+    (lambda p: tampered(p, "tau", 1, i=-1), "disagree on tau"),
+    (lambda p: dict(p, step_star=p["step_star"] + 1), STEPS),
+    (lambda p: dict(p, terminal_tau=p["terminal_tau"][::-1]), "terminal tau profile mismatch"),
+], ids=["negative_member", "tau", "step_star", "terminal_tau"])
+def test_schedule_from_json_rejects_a_tampered_file(tamper, message):
+    payload = json.loads(schedule_to_json(build_improved_schedule(3)))
+    with pytest.raises(AssertionError, match=message):
+        schedule_from_json(tamper(payload))
+
+
+def test_scaling_cuts_lie_inside_the_matrix():
+    for m in range(1, 65):
+        rows, columns = network_mod.scaling_cut_positions(m)
+        assert all(1 <= j <= 2 * m for j in rows), m
+        assert all(-m <= kp <= m for kp in columns), m
 
 
 @pytest.mark.parametrize("kind,size", [("improved", 1), ("improved", 4), ("improved", 8),

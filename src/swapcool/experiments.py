@@ -14,7 +14,7 @@ import os
 import platform
 import resource
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .network import (
     scaling_cut_positions,
     xi_result,
 )
-from .quantum import energy_moments, uniform_state
+from .quantum import csv_table, energy_moments, uniform_state
 
 DEFAULT_DT_FACTOR = 0.01     # protocol step in units of the inverse gap
 XI_BASE_M = 128
@@ -85,36 +85,21 @@ class CoeffsDataset:
     cuts: dict                      # cut name -> csv text
 
     def step_star_csv(self) -> str:
-        lines = ["m,step_star,step_star_over_m2"]
-        for m in sorted(self.step_stars):
-            s = self.step_stars[m]
-            lines.append(f"{m},{s},{repr(s / m ** 2)}")
-        return "\n".join(lines) + "\n"
+        return csv_table(("m", "step_star", "step_star_over_m2"),
+                         ((m, s, s / m ** 2) for m, s in sorted(self.step_stars.items())))
 
 
 def _cut_csvs(m0: int, frames: dict[int, np.ndarray]) -> dict[str, str]:
     """The eight standard cuts in the frame of m0, one column per m of the
     frames, in their order (each matrix read in that frame by rescaled_frame)."""
-    header = ",".join(f"m{m}" for m in frames)
-
-    def cut(first_column: str, labels, values) -> str:
-        """One CSV: a label column, then one column per matrix."""
-        lines = [first_column + "," + header]
-        for label, row in zip(labels, zip(*values)):
-            lines.append(label + "," + ",".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
-
     rows, columns = scaling_cut_positions(m0)
-    cuts: dict[str, str] = {}
-    for idx, j0 in enumerate(rows, start=1):
-        cuts[f"cut_row{idx}_j{j0}"] = cut(
-            "kprime", [repr(float(kp)) for kp in range(-m0, m0 + 1)],
-            [f[j0 - 1] for f in frames.values()])
-    for idx, kp0 in enumerate(columns, start=1):
-        cuts[f"cut_col{idx}_k{kp0}"] = cut(
-            "j", [str(j) for j in range(1, 2 * m0 + 1)],
-            [f[:, kp0 + m0] for f in frames.values()])
-    return cuts
+    cuts = [(f"cut_row{i}_j{j0}", "kprime", [float(kp) for kp in range(-m0, m0 + 1)],
+             [f[j0 - 1] for f in frames.values()]) for i, j0 in enumerate(rows, start=1)]
+    cuts += [(f"cut_col{i}_k{kp0}", "j", range(1, 2 * m0 + 1),
+              [f[:, kp0 + m0] for f in frames.values()]) for i, kp0 in enumerate(columns, start=1)]
+    names = [f"m{m}" for m in frames]
+    return {name: csv_table([label, *names], zip(labels, *(v.tolist() for v in values)))
+            for name, label, labels, values in cuts}
 
 
 def coeffs_dataset(m_list) -> CoeffsDataset:
@@ -145,9 +130,6 @@ class XiRow:
     reference_only: bool
 
 
-XI_CSV_HEADER = "model,dim,alpha,m_alpha,xi,m_bound,constraint_violated,reference_only"
-
-
 def xi_sweep(sweep, alphas, k_base: CoefficientMatrix) -> list[XiRow]:
     """The xi diagnostic per (model, dim, alpha) of a model_sweep, coefficients
     rescaled from the base matrix.  Model (a) rows are reference-only; every
@@ -165,14 +147,10 @@ def xi_sweep(sweep, alphas, k_base: CoefficientMatrix) -> list[XiRow]:
 
 
 def xi_rows_to_csv(rows: list[XiRow]) -> str:
-    lines = [XI_CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            r.model, str(r.dim), str(r.alpha), str(r.m_alpha), repr(float(r.xi)),
-            repr(float(r.m_bound)), str(r.constraint_violated).lower(),
-            str(r.reference_only).lower(),
-        ]))
-    return "\n".join(lines) + "\n"
+    flag = lambda value: "true" if value else "false"
+    return csv_table([f.name for f in fields(XiRow)], (
+        (r.model, r.dim, r.alpha, r.m_alpha, float(r.xi), float(r.m_bound),
+         flag(r.constraint_violated), flag(r.reference_only)) for r in rows))
 
 
 def base_coefficient_matrix(m: int = XI_BASE_M) -> CoefficientMatrix:

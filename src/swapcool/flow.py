@@ -18,12 +18,12 @@ at least as fast as the slowest logistic), the span-rate curve the upper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .hamiltonian import DEGENERACY_TOL, Spectrum, spectral_stats
-from .quantum import PureState, _check_dims
+from .quantum import PureState, _check_dims, csv_table
 
 RK4_STEP_CAP = 0.1   # max h * span accepted by the integrator
 #: entries per row block of the population matrix; bounds every temporary of
@@ -259,11 +259,8 @@ class FlowResult:
     upper_bound: np.ndarray
 
     def to_csv(self) -> str:
-        rows = ["t,p1,p_ground,energy,lower_bound,upper_bound"]
-        rows += [f"{t!r},{p1!r},{pg!r},{e!r},{lo!r},{hi!r}" for t, p1, pg, e, lo, hi in zip(
-            self.times.tolist(), self.p1.tolist(), self.p_ground.tolist(),
-            self.energy.tolist(), self.lower_bound.tolist(), self.upper_bound.tolist())]
-        return "\n".join(rows) + "\n"
+        return csv_table(("t", "p1", "p_ground", "energy", "lower_bound", "upper_bound"),
+                         zip(*(getattr(self, f.name).tolist() for f in fields(self))))
 
 
 def flow_series(phi0: PureState, spec: Spectrum, times) -> FlowResult:

@@ -35,7 +35,7 @@ from . import kernels
 from .kernels import improved_terminal_profile
 from .hamiltonian import Spectrum
 from .protocol import protocol_unitary
-from .quantum import DensityOperator, PureState, _check_dims
+from .quantum import DensityOperator, PureState, _check_dims, csv_table
 from .flow import find_steps_for_p1, level_flow
 
 EXACT_ORACLE_JOINT_CAP = 1024
@@ -81,15 +81,23 @@ class Schedule:
         """Replay the events one step at a time and check the pairing rules;
         raises AssertionError on the first violation.
 
-        A stored run has one shape: every pair 0 <= lo < hi < n_systems, and
-        step blocks that are exactly 0, 1, ..., step_star - 1 in order.  The
-        replay keeps one tau per system: the pairs of a step must share no
-        member and each must share its recorded tau_common, after which the
-        lower member moves to tau-1 and the higher to tau+1.  Then an improved
-        schedule must hold the closed-form pair count, and the final taus
-        must equal terminal_tau.
+        The kind is "improved" over 2m >= 2 systems or "tournament" with
+        1 <= m <= TOURNAMENT_MAX_N.  A stored run has one shape: every pair
+        0 <= lo < hi < n_systems, and step blocks that are exactly 0, 1, ...,
+        step_star - 1 in order.  The replay keeps one tau per system: the
+        pairs of a step must share no member and each must share its recorded
+        tau_common, after which the lower member moves to tau-1 and the higher
+        to tau+1.  The final taus must equal terminal_tau, and the run its
+        kind's closed form: an improved run's pair count and terminal profile,
+        a tournament build_tournament_schedule(m) column for column.
         """
         n, steps, star = self.n_pairs, self.step, self.step_star
+        if self.kind not in ("improved", "tournament"):
+            raise AssertionError(f"unknown schedule kind {self.kind!r}")
+        not_kind = f"not the {self.kind} network of m = {self.m} over {self.n_systems} systems"
+        if not (self.n_systems == 2 * self.m >= 2 if self.kind == "improved"
+                else 1 <= self.m <= TOURNAMENT_MAX_N):
+            raise AssertionError(not_kind)
         if n and (self.lo.min() < 0 or self.hi.max() >= self.n_systems
                   or np.any(self.lo >= self.hi)):
             raise AssertionError(f"pairs are not 0 <= lo < hi < {self.n_systems}")
@@ -112,7 +120,7 @@ class Schedule:
         if self.kind == "improved" and n != kernels.improved_pair_count(self.m):
             raise AssertionError(f"pair count {n}, not the improved network's "
                                  f"{kernels.improved_pair_count(self.m)}")
-        if np.any(tau != self.terminal_tau):
+        if not np.array_equal(tau, self.terminal_tau):
             raise AssertionError("terminal tau profile mismatch")
         expect_fresh = (self.tau_common == 0) & (self.step != 0)
         if np.any(expect_fresh != self.fresh.astype(bool)):
@@ -120,6 +128,11 @@ class Schedule:
         if self.kind == "improved" and np.any(
                 self.terminal_tau != improved_terminal_profile(self.m)):
             raise AssertionError("improved terminal profile mismatch")
+        if self.kind == "tournament":
+            closed = build_tournament_schedule(self.m)
+            if not all(np.array_equal(getattr(self, f), getattr(closed, f)) for f in
+                       ("n_systems", "step", "lo", "hi", "tau_common", "fresh", "terminal_tau")):
+                raise AssertionError(not_kind)
 
 
 def build_improved_schedule(m: int) -> Schedule:
@@ -186,10 +199,8 @@ class CoefficientMatrix:
         return self.k[j - 1]
 
     def to_csv(self) -> str:
-        lines = ["j," + ",".join(f"k{c + 1}" for c in range(self.k.shape[1]))]
-        for j in range(self.n_systems):
-            lines.append(str(j + 1) + "," + ",".join(repr(float(v)) for v in self.k[j]))
-        return "\n".join(lines) + "\n"
+        header = ["j"] + [f"k{c}" for c in range(1, self.k.shape[1] + 1)]
+        return csv_table(header, ([j] + row.tolist() for j, row in enumerate(self.k, start=1)))
 
 
 def propagate_coefficients(run) -> CoefficientMatrix:
@@ -311,7 +322,7 @@ def xi_statistic(spec: Spectrum, phi0: PureState, m: int, dt: float,
 
     xi = <phi_T| dt^2 sum_k K[2m,k] D[phi_{k'dt}] |phi_T> with T = m*dt.  On
     the levels phi_T is a = sqrt(P_T) and the sum is LevelFlow.deviation M,
-    so xi = dt^2 a^T M a.
+    so xi = dt^2 a^T M a; ValueError when that is not finite (dt > ~1.3e154).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -321,7 +332,10 @@ def xi_statistic(spec: Spectrum, phi0: PureState, m: int, dt: float,
     lf = level_flow(phi0, spec)
     target = np.sqrt(lf.populations([m * dt])[0])
     dev = lf.deviation((np.arange(2 * m + 1) - m) * dt, k_row)
-    return float(dt * dt * (target @ dev @ target))
+    xi = float(dt * dt * (target @ dev @ target))
+    if not np.isfinite(xi):
+        raise ValueError(f"xi at dt = {dt!r}, m = {m} is not finite: {xi!r}")
+    return xi
 
 
 def m_alpha(spec: Spectrum, phi0: PureState, dt: float, alpha: int) -> int:

@@ -199,6 +199,17 @@ def eigendecompose(hermitian: np.ndarray) -> tuple[Spectrum, np.ndarray]:
 
 # --- serialization -----------------------------------------------------------
 
+def csv_table(header, rows) -> str:
+    """The dataset tables' one CSV dialect: the header, then a line per row,
+    each cell its str() (a float's shortest round-trip repr), joined by ","
+    and ended by a newline.  A row of another length raises TypeError."""
+    line = ",".join(["%s"] * len(header)) + "\n"
+    lines = [line % tuple(header)]
+    lines += [line % tuple(row) for row in rows]
+    del rows    # a spent zip still holds every column but its first; free them before the join
+    return "".join(lines)
+
+
 def _interleave(values: np.ndarray) -> list[float]:
     flat = np.asarray(values, dtype=complex).ravel()
     out = np.empty(2 * flat.size)

@@ -17,6 +17,7 @@ import os
 import subprocess
 import sys
 
+import swapcool
 from swapcool import verify
 
 
@@ -141,7 +142,10 @@ def test_criterion_13_energy_bound():
 
 
 def test_criterion_14_determinism(tmp_path):
+    # the subprocesses run the swapcool this test imported, installed or not
+    src = os.path.dirname(os.path.dirname(swapcool.__file__))
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     outs = []
     for run in ("r1", "r2"):
         out = str(tmp_path / run)

@@ -281,6 +281,17 @@ def test_xi_m_alpha_over_the_cap_exit_2_no_files(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_xi_overflowing_step_exit_2_no_files(tmp_path, capsys):
+    # dt^2 overflows to inf above about 1.3e154; xi.csv held inf and the run exited 0
+    out = tmp_path / "o"
+    base = tmp_path / "K.json"
+    base.write_bytes(coefficients_to_json(propagate_coefficients(build_improved_schedule(4))))
+    assert main(["xi", "--model", "b", "--dims", "8,16", "--alphas", "1", "--dt", "1e200",
+                 "--k-base", str(base), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: xi at dt = 1e+200, m = 1 is not finite: inf\n"
+    assert not out.exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model=a\ndims=4,8\ndelta=1.0\n")
@@ -614,6 +625,43 @@ def test_deterministic_reruns(tmp_path):
     f1 = {f["path"]: f["sha256"] for f in manifest_of(out1)["files"]}
     f2 = {f["path"]: f["sha256"] for f in manifest_of(out2)["files"]}
     assert f1 == f2
+
+
+# coeffs --m 2,4: K, step* and cut entries are dyadic rationals, exact on any platform
+PINNED_CSV_SHA256 = {
+    "K_m2.csv": "f79a03fa3f1d8d33fd7c3e1dc0365ca2332bbe49e0bfa667215f6d91b6a5bf61",
+    "K_m4.csv": "4e85a84ad4dd496738fd51156bb6261045fc5dee94bcc2dd43003b74038af694",
+    "cut_col1_k-1.csv": "efff3d16ab53b01081db856bb62e85fabe3026b3ab88ec60d7125b25bdc2a1e9",
+    "cut_col2_k0.csv": "b62db64e340b643fc2662937849ba705608824f4c1add61812c6988610ecdaa4",
+    "cut_col3_k1.csv": "f392d2182ae1d5304f995ccffb7e2bc18f6a76893af110f92a0ac318ed2db2ac",
+    "cut_col4_k1.csv": "f392d2182ae1d5304f995ccffb7e2bc18f6a76893af110f92a0ac318ed2db2ac",
+    "cut_row1_j1.csv": "f0174786fe943fd1ae136bf2cc82678de10f1712ab748ca3f219a6e57dffe30f",
+    "cut_row2_j2.csv": "1734e934d1de5c0d925e5a548e10ca8993162feaa1d29fff1a5a03e4778866b8",
+    "cut_row3_j3.csv": "229f0a1483ea69171f8402fd5ab1eea4786d93a02fcc791111c195c4c4f4a801",
+    "cut_row4_j4.csv": "12323721b548e11fd146c579ea2a77fbac8d2675bb09681f196621129d56f769",
+    "step_star.csv": "535cfb769864fa7371f215e5728b4ef5b04c437b6478bd6c2a7b3fb5a1edbd91",
+}
+
+
+def test_every_csv_speaks_one_dialect(tmp_path):
+    import hashlib
+    out = str(tmp_path / "o")
+    assert main(["coeffs", "--m", "2,4", "--out", out]) == 0
+    assert main(["xi", "--model", "b,d", "--dims", "8,16", "--alphas", "1,2", "--out", out,
+                 "--k-base", os.path.join(out, "K_m4.json")]) == 0
+    assert main(["flow", "--model", "a,c", "--dims", "8,16", "--out", out]) == 0
+    names = sorted(n for n in os.listdir(out) if n.endswith(".csv"))
+    assert len(names) == 16
+    for name in names:
+        text = read(os.path.join(out, name))
+        assert text.endswith("\n") and not text.endswith("\n\n"), name
+        header, *rows = [line.split(",") for line in text[:-1].split("\n")]
+        assert rows and all(len(row) == len(header) for row in rows), name
+        for cell in (cell for row in rows for cell in row):
+            if not cell.lstrip("-").isdigit() and cell not in ("true", "false", "b", "d"):
+                assert cell == repr(float(cell)), (name, cell)
+    assert {name: hashlib.sha256(read(os.path.join(out, name)).encode()).hexdigest()
+            for name in PINNED_CSV_SHA256} == PINNED_CSV_SHA256
 
 
 def test_jobs_flag_rejected(tmp_path):

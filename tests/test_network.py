@@ -102,9 +102,10 @@ def bumped(arr, i):
     return out
 
 
-# the two messages of a stored run's shape
+# the two messages of a stored run's shape, and the one of a kind's closed form
 PAIRS = "pairs are not 0 <= lo < hi < "
 STEPS = "steps are not 0 to step_star - 1 = "
+KIND = "network of m = "
 
 
 def first_and_last_swapped(sched):
@@ -130,6 +131,17 @@ def first_and_last_swapped(sched):
     pytest.param(lambda s: {"lo": s.lo - s.n_systems}, PAIRS, id="negative_member"),
     pytest.param(lambda s: {"hi": s.hi + s.n_systems}, PAIRS, id="member_past_n_systems"),
     pytest.param(lambda s: {"lo": s.hi, "hi": s.lo}, PAIRS, id="lo_not_below_hi"),
+    pytest.param(lambda s: {"kind": s.kind[:-2] + s.kind[-1]}, "unknown schedule kind",
+                 id="kind_misspelled"),
+    # the improved network of m = 3 would have 6 systems, the tournament 4
+    pytest.param(lambda s: {"m": s.m - 1}, KIND, id="m_relabelled"),
+    pytest.param(lambda s: {"n_systems": s.n_systems + 2,
+                            "terminal_tau": np.append(s.terminal_tau, [0, 0])},
+                 KIND, id="systems_added"),
+    pytest.param(lambda s: {"m": 0, "n_systems": 0, "step_star": 0, "terminal_tau": s.lo[:0],
+                            **{f: getattr(s, f)[:0] for f in ("step", "lo", "hi",
+                                                             "tau_common", "fresh")}},
+                 KIND, id="no_systems"),
 ])
 def test_validate_rejects_mutation(build, mutate, message):
     # validate must reject each mutation with the message of the check it targets
@@ -801,7 +813,11 @@ def tampered(payload, key, value, i=0):
     (lambda p: tampered(p, "tau", 1, i=-1), "disagree on tau"),
     (lambda p: dict(p, step_star=p["step_star"] + 1), STEPS),
     (lambda p: dict(p, terminal_tau=p["terminal_tau"][::-1]), "terminal tau profile mismatch"),
-], ids=["negative_member", "tau", "step_star", "terminal_tau"])
+    (lambda p: dict(p, kind="improvd"), "unknown schedule kind 'improvd'"),
+    (lambda p: dict(p, kind="tournament"), "not the tournament network of m = 3"),
+    (lambda p: dict(p, m=2), "not the improved network of m = 2"),
+], ids=["negative_member", "tau", "step_star", "terminal_tau", "kind_misspelled",
+        "kind_relabelled", "m_relabelled"])
 def test_schedule_from_json_rejects_a_tampered_file(tamper, message):
     payload = json.loads(schedule_to_json(build_improved_schedule(3)))
     with pytest.raises(AssertionError, match=message):

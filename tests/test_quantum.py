@@ -6,6 +6,7 @@ from swapcool.quantum import (
     DensityOperator,
     PureState,
     basis_state,
+    csv_table,
     eigendecompose,
     energy_moments,
     evolve_phase,
@@ -204,3 +205,12 @@ def test_state_to_json_interleaves_real_and_imaginary_parts():
     assert amps[1::2] == phi.amplitudes.imag.tolist()
     assert state_to_json(PureState(np.array([0.6, -0.8j]))) == {
         "dim": 2, "amplitudes": [0.6, 0.0, 0.0, -0.8]}
+
+
+def test_csv_table_writes_one_line_per_row_of_str_cells():
+    table = csv_table(("j", "x", "flag"), [(1, -8.0, "true"), (2, 1e-05, "false"), (3, 0.1, "x")])
+    assert table == "j,x,flag\n1,-8.0,true\n2,1e-05,false\n3,0.1,x\n"
+    assert csv_table(["a"], []) == "a\n"
+    for row in [(1, 2), (1, 2, 3, 4)]:
+        with pytest.raises(TypeError):
+            csv_table(("a", "b", "c"), [row])

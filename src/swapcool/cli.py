@@ -21,7 +21,7 @@ from typing import Callable
 
 from . import __version__, experiments, verify
 from .hamiltonian import MODEL_KINDS, spectrum_to_json, spectrum_to_text
-from .experiments import RunManifest, write_atomic
+from .experiments import RunManifest, atomic_output, write_atomic
 from .network import (
     IMPROVED_MAX_M,
     build_improved_schedule,
@@ -188,11 +188,6 @@ def cmd_protocol(cfg: argparse.Namespace, manifest: RunManifest) -> int:
     return EXIT_OK
 
 
-def _write_json(path: str, text: bytearray, manifest: RunManifest) -> None:
-    text += b"\n"      # in place: the file exists in memory once
-    write_atomic(path, text, manifest)
-
-
 def cmd_schedule(cfg: argparse.Namespace, manifest: RunManifest) -> int:
     builds = {f"schedule_m{m}.json": partial(build_improved_schedule, m) for m in cfg.m_list}
     if cfg.tournament is not None:
@@ -201,7 +196,9 @@ def cmd_schedule(cfg: argparse.Namespace, manifest: RunManifest) -> int:
     for name, build in builds.items():
         sched = build()
         sched.validate()
-        _write_json(os.path.join(cfg.out, name), schedule_to_json(sched), manifest)
+        with atomic_output(os.path.join(cfg.out, name), manifest) as write:
+            schedule_to_json(sched, write)
+            write(b"\n")
         del sched       # held one at a time: --m 256 is 5.6 M pairs
     return EXIT_OK
 
@@ -210,7 +207,9 @@ def cmd_coeffs(cfg: argparse.Namespace, manifest: RunManifest) -> int:
     data = experiments.coeffs_dataset(cfg.m_list)
     for m, kmat in sorted(data.matrices.items()):
         write_atomic(os.path.join(cfg.out, f"K_m{m}.csv"), kmat.to_csv(), manifest)
-        _write_json(os.path.join(cfg.out, f"K_m{m}.json"), coefficients_to_json(kmat), manifest)
+        with atomic_output(os.path.join(cfg.out, f"K_m{m}.json"), manifest) as write:
+            coefficients_to_json(kmat, write)
+            write(b"\n")
     for name, csv_text in sorted(data.cuts.items()):
         write_atomic(os.path.join(cfg.out, f"{name}.csv"), csv_text, manifest)
     write_atomic(os.path.join(cfg.out, "step_star.csv"), data.step_star_csv(), manifest)

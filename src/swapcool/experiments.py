@@ -3,11 +3,12 @@ coefficient scaling study and the network-error diagnostic, plus manifest
 bookkeeping.
 
 Every emitter is a pure function from a config to text, so outputs are
-byte-reproducible; the CLI wraps these in atomic file writes.
+byte-reproducible; the CLI writes each file through atomic_output.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -190,8 +191,8 @@ class RunManifest:
     def add_stage(self, name: str, seconds: float) -> None:
         self.stages.append({"name": name, "seconds": seconds, "peak_rss_mb": peak_rss_mb()})
 
-    def add_file(self, path: str, content: bytes) -> None:
-        self.files.append({"path": path, "sha256": hashlib.sha256(content).hexdigest()})
+    def add_file(self, path: str, sha256: str, size: int) -> None:
+        self.files.append({"path": path, "sha256": sha256, "bytes": size})
 
     def to_json(self) -> dict:
         """This run at the top level; under "earlier_runs" the earlier runs
@@ -223,14 +224,32 @@ def recorded_runs(path: str) -> list:
     return runs
 
 
-def write_atomic(path: str, content: str | bytes | bytearray,
-                 manifest: RunManifest | None = None) -> None:
-    data = content.encode() if isinstance(content, str) else content
+@contextlib.contextmanager
+def atomic_output(path: str, manifest: RunManifest | None = None):
+    """Yield write(bytes), which appends to a temporary file beside path.  On
+    a clean exit the file replaces path and the manifest records its sha256
+    and size; on an exception it is removed, and path and the manifest are
+    left as they were."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".{os.path.basename(path)}.tmp-{os.getpid()}")
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    digest, size = hashlib.sha256(), 0
+    try:
+        with open(tmp, "wb") as fh:
+            def write(data) -> None:
+                nonlocal size
+                digest.update(data)
+                size += fh.write(data)
+            yield write
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
     if manifest is not None:
-        manifest.add_file(os.path.basename(path), data)
+        manifest.add_file(os.path.basename(path), digest.hexdigest(), size)
+
+
+def write_atomic(path: str, content: str | bytes, manifest: RunManifest | None = None) -> None:
+    with atomic_output(path, manifest) as write:
+        write(content.encode() if isinstance(content, str) else content)

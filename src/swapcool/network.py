@@ -82,14 +82,15 @@ class Schedule:
         raises AssertionError on the first violation.
 
         The kind is "improved" over 2m >= 2 systems or "tournament" with
-        1 <= m <= TOURNAMENT_MAX_N.  A stored run has one shape: every pair
-        0 <= lo < hi < n_systems, and step blocks that are exactly 0, 1, ...,
-        step_star - 1 in order.  The replay keeps one tau per system: the
-        pairs of a step must share no member and each must share its recorded
-        tau_common, after which the lower member moves to tau-1 and the higher
-        to tau+1.  The final taus must equal terminal_tau, and the run its
-        kind's closed form: an improved run's pair count and terminal profile,
-        a tournament build_tournament_schedule(m) column for column.
+        1 <= m <= TOURNAMENT_MAX_N.  A stored run has one shape: five event
+        columns of one length, every pair 0 <= lo < hi < n_systems, and step
+        blocks that are exactly 0, 1, ..., step_star - 1 in order.  The replay
+        keeps one tau per system: the pairs of a step must share no member and
+        each must share its recorded tau_common, after which the lower member
+        moves to tau-1 and the higher to tau+1.  The final taus must equal
+        terminal_tau, and the run its kind's closed form: an improved run's
+        pair count and terminal profile, a tournament
+        build_tournament_schedule(m) column for column.
         """
         n, steps, star = self.n_pairs, self.step, self.step_star
         if self.kind not in ("improved", "tournament"):
@@ -98,6 +99,9 @@ class Schedule:
         if not (self.n_systems == 2 * self.m >= 2 if self.kind == "improved"
                 else 1 <= self.m <= TOURNAMENT_MAX_N):
             raise AssertionError(not_kind)
+        lengths = {f: getattr(self, f).size for f in ("step", "lo", "hi", "tau_common", "fresh")}
+        if len(set(lengths.values())) > 1:
+            raise AssertionError(f"event columns differ in length: {lengths}")
         if n and (self.lo.min() < 0 or self.hi.max() >= self.n_systems
                   or np.any(self.lo >= self.hi)):
             raise AssertionError(f"pairs are not 0 <= lo < hi < {self.n_systems}")
@@ -449,28 +453,27 @@ def simulate_network_exact(run, spec: Spectrum, phi0: PureState,
 
 # --- serialization -----------------------------------------------------------
 
-def schedule_to_json(sched: Schedule) -> bytearray:
-    """The pair events, step* and the terminal profile as UTF-8 JSON, written
-    from the event columns with json.dumps's default separators.  The pairs
-    are encoded JSON_BLOCK_PAIRS at a time and appended in place, so the file
-    exists in memory once.  The tau of every system at every step follows
-    from replaying the pairs in order (lower member -1, higher +1), as
-    Schedule.validate does."""
+def schedule_to_json(sched: Schedule, write) -> None:
+    """Pass write the pair events, step* and the terminal profile as UTF-8
+    JSON, encoded from the event columns with json.dumps's default
+    separators.  The pairs go JSON_BLOCK_PAIRS at a time, so only one block
+    of the text is ever in memory.  The tau of every system at every step
+    follows from replaying the pairs in order (lower member -1, higher +1),
+    as Schedule.validate does."""
     head = json.dumps({"kind": sched.kind, "m": sched.m, "n_systems": sched.n_systems,
                        "step_star": sched.step_star})
-    out = bytearray(f'{head[:-1]}, "pairs": ['.encode())
+    write(f'{head[:-1]}, "pairs": ['.encode())
     for start in range(0, sched.n_pairs, JSON_BLOCK_PAIRS):
         block = slice(start, start + JSON_BLOCK_PAIRS)
         if start:
-            out += b", "
-        out += ", ".join([
+            write(b", ")
+        write(", ".join([
             f'{{"step": {s}, "pair": [{a}, {b}], "tau": {t}, "fresh": {"true" if f else "false"}}}'
             for s, a, b, t, f in zip(sched.step[block].tolist(), sched.lo[block].tolist(),
                                      sched.hi[block].tolist(),
                                      sched.tau_common[block].tolist(),
-                                     sched.fresh[block].tolist())]).encode()
-    out += f'], "terminal_tau": {json.dumps(sched.terminal_tau.tolist())}}}'.encode()
-    return out
+                                     sched.fresh[block].tolist())]).encode())
+    write(f'], "terminal_tau": {json.dumps(sched.terminal_tau.tolist())}}}'.encode())
 
 
 def schedule_from_json(obj: dict) -> Schedule:
@@ -486,16 +489,15 @@ def schedule_from_json(obj: dict) -> Schedule:
     return sched
 
 
-def coefficients_to_json(kmat: CoefficientMatrix) -> bytearray:
-    """``json.dumps({"m": m, "k": k.tolist()})`` as UTF-8, encoded one row
-    at a time and appended in place, so the text exists in memory once."""
-    out = bytearray(f'{{"m": {json.dumps(kmat.m)}, "k": ['.encode())
+def coefficients_to_json(kmat: CoefficientMatrix, write) -> None:
+    """Pass write ``json.dumps({"m": m, "k": k.tolist()})`` as UTF-8, encoded
+    one row at a time."""
+    write(f'{{"m": {json.dumps(kmat.m)}, "k": ['.encode())
     for j, row in enumerate(kmat.k):
         if j:
-            out += b", "
-        out += json.dumps(row.tolist()).encode()
-    out += b"]}"
-    return out
+            write(b", ")
+        write(json.dumps(row.tolist()).encode())
+    write(b"]}")
 
 
 def coefficients_from_json(obj: dict) -> CoefficientMatrix:

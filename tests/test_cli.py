@@ -1,4 +1,6 @@
 import argparse
+import hashlib
+import io
 import json
 import os
 
@@ -16,7 +18,7 @@ from swapcool.cli import (
     parse_dims,
     parse_switch,
 )
-from swapcool.experiments import write_atomic
+from swapcool.experiments import RunManifest, atomic_output, write_atomic
 from swapcool.hamiltonian import MAX_LEVELS
 from swapcool.network import (
     XI_MAX_M_ALPHA,
@@ -24,6 +26,7 @@ from swapcool.network import (
     build_improved_schedule,
     coefficients_to_json,
     propagate_coefficients,
+    schedule_to_json,
 )
 
 
@@ -34,6 +37,13 @@ def read(path):
 
 def manifest_of(out_dir):
     return json.loads(read(os.path.join(out_dir, "manifest.json")))
+
+
+def encoded(encode, obj) -> bytes:
+    """The bytes a JSON encoder passes to its write callable."""
+    buf = io.BytesIO()
+    encode(obj, buf.write)
+    return buf.getvalue()
 
 
 def test_parse_dims():
@@ -271,7 +281,8 @@ def test_xi_m_alpha_over_the_cap_exit_2_no_files(tmp_path, capsys):
     # the contraction would hold at about 65 B each
     out = tmp_path / "o"
     base = tmp_path / "K.json"
-    base.write_bytes(coefficients_to_json(propagate_coefficients(build_improved_schedule(2))))
+    base.write_bytes(encoded(coefficients_to_json,
+                             propagate_coefficients(build_improved_schedule(2))))
     assert main(["xi", "--model", "a", "--dims", "8", "--alphas", "1", "--dt", "1e-6",
                  "--k-base", str(base), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -285,7 +296,8 @@ def test_xi_overflowing_step_exit_2_no_files(tmp_path, capsys):
     # dt^2 overflows to inf above about 1.3e154; xi.csv held inf and the run exited 0
     out = tmp_path / "o"
     base = tmp_path / "K.json"
-    base.write_bytes(coefficients_to_json(propagate_coefficients(build_improved_schedule(4))))
+    base.write_bytes(encoded(coefficients_to_json,
+                             propagate_coefficients(build_improved_schedule(4))))
     assert main(["xi", "--model", "b", "--dims", "8,16", "--alphas", "1", "--dt", "1e200",
                  "--k-base", str(base), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: xi at dt = 1e+200, m = 1 is not finite: inf\n"
@@ -536,8 +548,6 @@ def test_each_subcommand_accepts_only_its_settings():
 
 
 def test_manifest_lists_hashes(tmp_path):
-    import hashlib
-
     out = str(tmp_path / "o")
     assert main(["spectrum", "--model", "a", "--dims", "4", "--out", out]) == 0
     man = manifest_of(out)
@@ -549,9 +559,42 @@ def test_manifest_lists_hashes(tmp_path):
     assert len(man["stages"]) >= 1
 
 
-def test_manifest_carries_earlier_runs(tmp_path):
-    import hashlib
+@pytest.mark.parametrize("argv", [["schedule", "--m", "2", "--tournament", "2"],
+                                  ["coeffs", "--m", "2,4"]], ids=["schedule", "coeffs"])
+def test_manifest_records_each_file_size_and_hash(tmp_path, argv):
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 0
+    files = manifest_of(out)["files"]
+    assert sorted(f["path"] for f in files) == sorted(set(os.listdir(out)) - {"manifest.json"})
+    for f in files:
+        data = (out / f["path"]).read_bytes()
+        assert (f["bytes"], f["sha256"]) == (len(data), hashlib.sha256(data).hexdigest())
 
+
+def test_failed_write_leaves_target_manifest_and_directory_as_they_were(tmp_path):
+    # the temporary file used to stay behind as .<name>.tmp-<pid>
+    target = tmp_path / "schedule_m2.json"
+    target.write_bytes(b"earlier run\n")
+    manifest = RunManifest(config={}, version="0")
+    with pytest.raises(OSError, match="disk full"):
+        with atomic_output(str(target), manifest) as write:
+            blocks = []
+
+            def failing(data):
+                if len(blocks) == 2:        # the header, then the first block of pairs
+                    raise OSError("disk full")
+                blocks.append(data)
+                write(data)
+
+            schedule_to_json(build_improved_schedule(2), failing)
+    with pytest.raises(TypeError):
+        write_atomic(str(target), [b"not bytes"], manifest)
+    assert os.listdir(tmp_path) == ["schedule_m2.json"]
+    assert target.read_bytes() == b"earlier run\n"
+    assert manifest.files == []
+
+
+def test_manifest_carries_earlier_runs(tmp_path):
     out = tmp_path / "o"
     xi = ["xi", "--model", "b", "--dims", "8", "--alphas", "1",
           "--k-base", str(out / "K_m8.json"), "--out", str(out)]
@@ -644,7 +687,6 @@ PINNED_CSV_SHA256 = {
 
 
 def test_every_csv_speaks_one_dialect(tmp_path):
-    import hashlib
     out = str(tmp_path / "o")
     assert main(["coeffs", "--m", "2,4", "--out", out]) == 0
     assert main(["xi", "--model", "b,d", "--dims", "8,16", "--alphas", "1,2", "--out", out,

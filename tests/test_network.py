@@ -1,7 +1,9 @@
 import dataclasses
+import io
 import itertools
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -33,6 +35,13 @@ from swapcool.network import (
 )
 from swapcool.protocol import expand_short_time, protocol_oracle
 from swapcool.quantum import PureState, basis_state, uniform_state
+
+
+def encoded(encode, obj) -> bytes:
+    """The bytes a JSON encoder passes to its write callable."""
+    buf = io.BytesIO()
+    encode(obj, buf.write)
+    return buf.getvalue()
 
 
 def events_of(sched):
@@ -165,6 +174,18 @@ def test_validate_rejects_a_dropped_last_step():
         dataclasses.replace(sched, **kept).validate()
     with pytest.raises(AssertionError, match="pair count 29, not the improved network's 30"):
         dataclasses.replace(sched, step_star=sched.step_star - 1, **kept).validate()
+
+
+@pytest.mark.parametrize("column", ["hi", "tau_common", "fresh"])
+def test_validate_rejects_a_short_column(column):
+    # numpy raised its own broadcast or shape ValueError before the replay
+    sched = build_improved_schedule(4)
+    short = dataclasses.replace(sched, **{column: getattr(sched, column)[:-1]})
+    lengths = {f: sched.n_pairs for f in ("step", "lo", "hi", "tau_common", "fresh")}
+    lengths[column] -= 1
+    with pytest.raises(AssertionError,
+                       match=re.escape(f"event columns differ in length: {lengths}")):
+        short.validate()
 
 
 def test_validate_rejects_shared_member_within_step():
@@ -742,7 +763,7 @@ def _dict_per_pair_reference(sched):
                          + [f"tournament_n{n}" for n in range(1, 6)])
 def test_schedule_json_bytes_match_dict_dump(sched):
     want = json.dumps(_dict_per_pair_reference(sched)).encode()
-    assert_same_bytes(schedule_to_json(sched), want)
+    assert_same_bytes(encoded(schedule_to_json, sched), want)
 
 
 def assert_same_bytes(got, want):
@@ -761,7 +782,7 @@ def test_schedule_json_same_bytes_at_every_block_size(kind, size, monkeypatch):
     want = json.dumps(_dict_per_pair_reference(sched)).encode()
     for block in (1, 2, 3, sched.n_pairs):
         monkeypatch.setattr(network_mod, "JSON_BLOCK_PAIRS", block)
-        assert_same_bytes(schedule_to_json(sched), want)
+        assert_same_bytes(encoded(schedule_to_json, sched), want)
 
 
 def test_schedule_cli_files_match_dict_dump(tmp_path):
@@ -773,17 +794,21 @@ def test_schedule_cli_files_match_dict_dump(tmp_path):
             assert fh.read() == (json.dumps(_dict_per_pair_reference(sched)) + "\n").encode()
 
 
-def test_schedule_json_holds_one_copy_of_the_text(monkeypatch):
-    # the str writer peaked at 3.2x its output: the pair strings, then their join
+def test_schedule_json_peak_stays_below_a_tenth_of_the_file(monkeypatch, tmp_path):
+    # streamed a block at a time into the hashing file writer, the peak is one
+    # block; the bytearray writer held the whole file (1.0x), the str writer 3.2x
     sched = build_improved_schedule(64)
     monkeypatch.setattr(network_mod, "JSON_BLOCK_PAIRS", 1 << 10)
+    path = tmp_path / "schedule_m64.json"
     tracemalloc.start()
     try:
-        text = schedule_to_json(sched)
+        with experiments.atomic_output(str(path)) as write:
+            schedule_to_json(sched, write)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * len(text), (peak, len(text))
+    size = path.stat().st_size
+    assert peak < 0.1 * size, (peak, size)
 
 
 def test_tournament_size_bound():
@@ -795,7 +820,7 @@ def test_tournament_size_bound():
 
 def test_schedule_json_round_trip():
     sched = build_improved_schedule(3)
-    payload = json.loads(schedule_to_json(sched))
+    payload = json.loads(encoded(schedule_to_json, sched))
     assert "tau" not in payload
     back = schedule_from_json(payload)
     assert events_of(back) == events_of(sched)
@@ -819,7 +844,7 @@ def tampered(payload, key, value, i=0):
 ], ids=["negative_member", "tau", "step_star", "terminal_tau", "kind_misspelled",
         "kind_relabelled", "m_relabelled"])
 def test_schedule_from_json_rejects_a_tampered_file(tamper, message):
-    payload = json.loads(schedule_to_json(build_improved_schedule(3)))
+    payload = json.loads(encoded(schedule_to_json, build_improved_schedule(3)))
     with pytest.raises(AssertionError, match=message):
         schedule_from_json(tamper(payload))
 
@@ -838,12 +863,12 @@ def test_coefficients_json_bytes_match_dict_dump(kind, size):
              else build_tournament_schedule(size))
     kmat = propagate_coefficients(sched)
     want = json.dumps({"m": kmat.m, "k": kmat.k.tolist()}).encode()
-    assert_same_bytes(coefficients_to_json(kmat), want)
+    assert_same_bytes(encoded(coefficients_to_json, kmat), want)
 
 
 def test_coefficients_json_round_trip():
     kmat = propagate_coefficients(build_improved_schedule(4))
-    back = coefficients_from_json(json.loads(coefficients_to_json(kmat)))
+    back = coefficients_from_json(json.loads(encoded(coefficients_to_json, kmat)))
     assert back.m == kmat.m
     np.testing.assert_array_equal(back.k, kmat.k)
 

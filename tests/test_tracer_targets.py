@@ -1,7 +1,7 @@
 """The benchmark tracer names package functions by string; a renamed function
 would leave its layer metric reading 0 without any error.  This checks every
-name against the package, and that the installed tracer counts the pairs of
-the coefficient path."""
+name against the package, that the installed tracer counts the pairs of the
+coefficient path, and that traced CLI runs finish with their spans."""
 
 import importlib
 import importlib.util
@@ -43,3 +43,18 @@ def test_tracer_counts_the_coefficient_path():
     assert tracer.counts["network.accumulated_pairs"] == sum(
         network.build_improved_schedule(m).n_pairs for m in (2, 4, 8)) == 239
     assert "network.accumulate" in {span[2] for span in tracer.spans}
+
+
+@pytest.mark.parametrize("argv, spans", [
+    (["schedule", "--m", "2", "--tournament", "2"],
+     {"network.schedule_json", "experiments.serialize"}),
+    (["coeffs", "--m", "2,4"], {"experiments.serialize"}),
+], ids=["schedule", "coeffs"])
+def test_traced_cli_runs_finish(tmp_path, argv, spans):
+    # the tracer's wrappers see every writer call; a writer change that
+    # breaks them would fail every traced benchmark iteration
+    from swapcool import cli
+
+    with TRACER.Tracer(argv[0]) as tracer:
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    assert spans <= {span[2] for span in tracer.spans}

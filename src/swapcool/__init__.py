@@ -16,7 +16,6 @@ from .quantum import (
     eigendecompose,
     energy_moments,
     evolve_phase,
-    partial_trace,
     survival,
     uniform_state,
 )

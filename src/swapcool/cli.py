@@ -22,8 +22,10 @@ from typing import Callable
 from . import __version__, experiments, verify
 from .hamiltonian import MODEL_KINDS, spectrum_to_json, spectrum_to_text
 from .experiments import RunManifest, atomic_output, write_atomic
+from .kernels import improved_pair_count
 from .network import (
     IMPROVED_MAX_M,
+    SCHEDULE_MAX_PAIRS,
     build_improved_schedule,
     build_tournament_schedule,
     check_tournament_n,
@@ -190,9 +192,14 @@ def cmd_protocol(cfg: argparse.Namespace, manifest: RunManifest) -> int:
 
 def cmd_schedule(cfg: argparse.Namespace, manifest: RunManifest) -> int:
     builds = {f"schedule_m{m}.json": partial(build_improved_schedule, m) for m in cfg.m_list}
+    pairs = sum(improved_pair_count(m) for m in cfg.m_list)
     if cfg.tournament is not None:
         builds[f"schedule_tournament_n{cfg.tournament}.json"] = partial(
             build_tournament_schedule, cfg.tournament)
+        pairs += 2 ** cfg.tournament - 1
+    if pairs > SCHEDULE_MAX_PAIRS:
+        raise ValueError(f"the schedules hold {pairs} pair events in all, over the cap of "
+                         f"{SCHEDULE_MAX_PAIRS} per run")
     for name, build in builds.items():
         sched = build()
         sched.validate()

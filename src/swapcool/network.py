@@ -42,6 +42,8 @@ EXACT_ORACLE_JOINT_CAP = 1024
 EXACT_ORACLE_ENERGY_TOL = 1e-10
 TOURNAMENT_MAX_N = 20   # 2^20 systems, about a million pair events (as at m=128)
 IMPROVED_MAX_M = 256    # the largest m whose schedule criterion 08 verifies; 5.6 M pair events
+# one `swapcool schedule` run's pair events: the largest improved and tournament schedules
+SCHEDULE_MAX_PAIRS = kernels.improved_pair_count(IMPROVED_MAX_M) + 2 ** TOURNAMENT_MAX_N - 1
 JSON_BLOCK_PAIRS = 1 << 15   # pair events encoded per block of the schedule JSON
 XI_MAX_M_ALPHA = 1 << 20     # steps of one xi point, ~65 B each; the pinned sweep's largest is 463
 

@@ -27,7 +27,6 @@ from .quantum import (
     _interleave,
     energy_moments,
     evolve_phase,
-    partial_trace,
     state_to_json,
     survival,
 )
@@ -87,44 +86,43 @@ def apply_protocol(phi0: PureState, spec: Spectrum, dt: float) -> ProtocolOutput
     return ProtocolOutput(rho_a, rho_b, e0 + 0.5 * dp0, e0 - 0.5 * dp0, e0, dt)
 
 
-def swap_matrix(dim: int) -> np.ndarray:
-    """Basis swap on the two-factor space: S |j,k> = |k,j>."""
-    s = np.zeros((dim * dim, dim * dim))
-    for j in range(dim):
-        for k in range(dim):
-            s[k * dim + j, j * dim + k] = 1.0
-    return s
-
-
 def protocol_unitary(spec: Spectrum, dt: float) -> np.ndarray:
     """Dense two-system unitary exp(+i S pi/4) (e^{-iH dt/2} (x) e^{+iH dt/2}).
 
-    The swap rotation uses S^2 = I: exp(+i S pi/4) = (I + iS)/sqrt(2).
+    The swap rotation uses S^2 = I: exp(+i S pi/4) = (I + iS)/sqrt(2), with
+    S |j,k> = |k,j>.  Column c = (j, k) therefore holds phase_c/sqrt(2) on the
+    diagonal and i phase_c/sqrt(2) at the swapped row (k, j); where j = k the
+    two meet, as (1 + i) phase_c/sqrt(2).  Each entry is one complex product
+    of its rotation factor and phase_c.
     """
     dim = spec.dim
     fwd = np.exp(-0.5j * spec.eigenvalues * dt)
     phase = np.kron(fwd, fwd.conj())
-    s = swap_matrix(dim)
-    rot = (np.eye(dim * dim) + 1j * s) / np.sqrt(2.0)
-    return rot * phase[None, :]
+    c = 1.0 / np.sqrt(2.0)
+    cols = np.arange(dim * dim)
+    j, k = np.divmod(cols, dim)
+    u = np.zeros((dim * dim, dim * dim), dtype=complex)
+    u[k * dim + j, cols] = 1j * c * phase
+    u[cols, cols] = np.where(j == k, 1 + 1j, 1) * c * phase
+    return u
 
 
 def protocol_oracle(phi0: PureState, spec: Spectrum, dt: float) -> ProtocolOutput:
     """Brute-force the protocol on the dense joint space.
 
-    Independent of :func:`apply_protocol`: builds the explicit unitary of the
-    two-system circuit, forms the joint density matrix and partial-traces both
-    sides.  Capped at dim <= 64 (4096-dimensional joint space).
+    Independent of :func:`apply_protocol`: applies the explicit unitary of the
+    two-system circuit to the joint vector, reshapes it to the dim x dim
+    matrix Psi[j, k] and reduces each side, rho_a = Psi Psi^dagger and
+    rho_b = Psi^T conj(Psi).  The unitary is the only dim^2 x dim^2 array;
+    capped at dim <= 64 (a 4096-dimensional joint space, 268 MB unitary).
     """
     _check_dims(phi0, spec)
     if spec.dim > ORACLE_DIM_CAP:
         raise ValueError(f"dense oracle capped at dim {ORACLE_DIM_CAP}")
-    u = protocol_unitary(spec, dt)
     joint_in = np.kron(phi0.amplitudes, phi0.amplitudes)
-    joint_out = u @ joint_in
-    rho_joint = DensityOperator(np.outer(joint_out, joint_out.conj()))
-    rho_a = partial_trace(rho_joint, "a")
-    rho_b = partial_trace(rho_joint, "b")
+    psi = (protocol_unitary(spec, dt) @ joint_in).reshape(spec.dim, spec.dim)
+    rho_a = DensityOperator(psi @ psi.conj().T)
+    rho_b = DensityOperator(psi.T @ psi.conj())
     e0, _ = energy_moments(phi0, spec)
     return ProtocolOutput(rho_a, rho_b, rho_a.energy(spec), rho_b.energy(spec), e0, dt)
 

@@ -1,7 +1,7 @@
 """State vectors and density operators in the energy eigenbasis.
 
-Pure phase evolution, energy moments, survival probability, partial traces
-and eigendecomposition: the linear-algebra substrate for the protocol, flow
+Pure phase evolution, energy moments, survival probability and
+eigendecomposition: the linear-algebra substrate for the protocol, flow
 and network modules.  Everything here is a pure function over immutable
 values.
 """
@@ -109,11 +109,9 @@ class LowRankDensity:
         return self.basis[0].dim
 
     def to_dense(self) -> DensityOperator:
-        mat = np.zeros((self.dim, self.dim), dtype=complex)
-        for p, vp in enumerate(self.basis):
-            for q, vq in enumerate(self.basis):
-                mat += self.coeff[p, q] * np.outer(vp.amplitudes, vq.amplitudes.conj())
-        return DensityOperator(mat)
+        """The dense matrix V C V^dagger, V's columns the basis states."""
+        v = np.column_stack([b.amplitudes for b in self.basis])
+        return DensityOperator(v @ self.coeff @ v.conj().T)
 
 
 def _check_dims(state: PureState, spec: Spectrum) -> None:
@@ -165,22 +163,6 @@ def survival(state: PureState, spec: Spectrum, t: float) -> tuple[float, float]:
     p0 = abs(amp) ** 2
     dp0 = 2.0 * np.real(np.conj(amp) * (-1j) * w)
     return float(p0), float(dp0)
-
-
-def partial_trace(joint: DensityOperator, side: str) -> DensityOperator:
-    """Reduce a two-factor density matrix; side "a" keeps the first factor."""
-    d2 = joint.dim
-    d = int(round(np.sqrt(d2)))
-    if d * d != d2:
-        raise ValueError("joint dimension is not a perfect square")
-    if side not in ("a", "b"):
-        raise ValueError("side must be 'a' or 'b'")
-    r = joint.matrix.reshape(d, d, d, d)
-    if side == "a":
-        red = np.trace(r, axis1=1, axis2=3)
-    else:
-        red = np.trace(r, axis1=0, axis2=2)
-    return DensityOperator(red)
 
 
 def eigendecompose(hermitian: np.ndarray) -> tuple[Spectrum, np.ndarray]:

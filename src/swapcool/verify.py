@@ -91,23 +91,30 @@ def _random_case(rng: np.random.Generator):
     return spec, phi, dt
 
 
+def _trial_case(trial: int, spec: Spectrum, dt: float) -> str:
+    return f"trial={trial}/dim={spec.dim}/dt={dt:.6g}"
+
+
 def check_protocol_vs_oracle(seed: int = 0, trials: int = 1000) -> CheckResult:
     """Closed-form reduced states against the dense two-system unitary."""
     rng = np.random.default_rng(seed)
+
+    def cases():
+        for trial in range(trials):
+            spec, phi, dt = _random_case(rng)
+            closed = apply_protocol(phi, spec, dt)
+            dense = protocol_oracle(phi, spec, dt)
+            yield (max(_opnorm(closed.rho_a.to_dense().matrix - dense.rho_a.matrix),
+                       _opnorm(closed.rho_b.to_dense().matrix - dense.rho_b.matrix),
+                       abs(closed.e_a - dense.e_a), abs(closed.e_b - dense.e_b)),
+                   _trial_case(trial, spec, dt))
     t0 = time.perf_counter()
-    worst = 0.0
-    for _ in range(trials):
-        spec, phi, dt = _random_case(rng)
-        closed = apply_protocol(phi, spec, dt)
-        dense = protocol_oracle(phi, spec, dt)
-        worst = max(worst,
-                    _opnorm(closed.rho_a.to_dense().matrix - dense.rho_a.matrix),
-                    _opnorm(closed.rho_b.to_dense().matrix - dense.rho_b.matrix),
-                    abs(closed.e_a - dense.e_a), abs(closed.e_b - dense.e_b))
+    worst, worst_case = _worst(cases())
     elapsed = time.perf_counter() - t0
     return CheckResult("protocol_vs_oracle",
                        worst <= ORACLE_OP_TOL and elapsed < PROTOCOL_ORACLE_SECONDS,
-                       {"trials": trials, "max_deviation": worst, "seconds": elapsed,
+                       {"trials": trials, "max_deviation": worst, "worst_case": worst_case,
+                        "seconds": elapsed,
                         "seconds_limit": PROTOCOL_ORACLE_SECONDS,
                         "seconds_margin": PROTOCOL_ORACLE_SECONDS - elapsed,
                         "tolerance": ORACLE_OP_TOL})
@@ -117,13 +124,15 @@ def check_energy_conservation(seed: int = 0, trials: int = 400) -> CheckResult:
     """E_a + E_b - 2 E0 at round-off on random protocol calls, plus the
     per-step total-energy assertion inside a correlated network run."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        spec, phi, dt = _random_case(rng)
-        out = apply_protocol(phi, spec, dt)
-        worst = max(worst, abs(out.e_a + out.e_b - 2.0 * out.e0))
-        dense = protocol_oracle(phi, spec, dt)
-        worst = max(worst, abs(dense.e_a + dense.e_b - 2.0 * dense.e0))
+
+    def cases():
+        for trial in range(trials):
+            spec, phi, dt = _random_case(rng)
+            case = _trial_case(trial, spec, dt)
+            for path, out in (("closed", apply_protocol(phi, spec, dt)),
+                              ("oracle", protocol_oracle(phi, spec, dt))):
+                yield abs(out.e_a + out.e_b - 2.0 * out.e0), f"{case}/{path}"
+    worst, worst_case = _worst(cases())
     sched = build_improved_schedule(2)
     spec = Spectrum(np.array([-1.0, 0.0, 1.0]), label="toy")
     # raises on a pair drift above EXACT_ORACLE_ENERGY_TOL (= CONSERVATION_TOL)
@@ -131,7 +140,7 @@ def check_energy_conservation(seed: int = 0, trials: int = 400) -> CheckResult:
                                       return_energy_trace=True)
     drift = max(abs(r["total_after"] - r["total_after_fresh"]) for r in trace)
     return CheckResult("energy_conservation", worst <= CONSERVATION_TOL,
-                       {"trials": trials, "max_violation": worst,
+                       {"trials": trials, "max_violation": worst, "worst_case": worst_case,
                         "network_steps_checked": sched.n_pairs,
                         "network_max_pair_drift": drift,
                         "network_drift_margin": CONSERVATION_TOL - drift,

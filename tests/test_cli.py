@@ -20,7 +20,11 @@ from swapcool.cli import (
 )
 from swapcool.experiments import RunManifest, atomic_output, write_atomic
 from swapcool.hamiltonian import MAX_LEVELS
+from swapcool.kernels import improved_pair_count
 from swapcool.network import (
+    IMPROVED_MAX_M,
+    SCHEDULE_MAX_PAIRS,
+    TOURNAMENT_MAX_N,
     XI_MAX_M_ALPHA,
     Schedule,
     build_improved_schedule,
@@ -182,6 +186,33 @@ def test_schedule_tournament_out_of_range_exit_2_no_files(tmp_path, monkeypatch,
     out = str(tmp_path / "o")
     assert main(["schedule", "--m", "1", "--tournament", n, "--out", out]) == 2
     assert not os.path.exists(out)
+
+
+def test_schedule_pairs_over_the_run_cap_exit_2_no_files(tmp_path, monkeypatch):
+    # each m is in range, but m = 255 and 256 together hold 11.2 M pair events
+    def refuse(*args):
+        raise AssertionError("the run's pair total is checked before any build")
+
+    monkeypatch.setattr("swapcool.cli.build_improved_schedule", refuse)
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(["schedule", "--m", "255,256", "--out", str(out)]) == 2
+    assert list(out.iterdir()) == []
+
+
+def test_schedule_run_cap_admits_the_largest_of_each_kind(tmp_path, monkeypatch):
+    class Built(Exception):
+        pass
+
+    def stop(*args):
+        raise Built
+
+    assert SCHEDULE_MAX_PAIRS == improved_pair_count(IMPROVED_MAX_M) + 2 ** TOURNAMENT_MAX_N - 1
+    assert SCHEDULE_MAX_PAIRS == 6_673_791
+    monkeypatch.setattr("swapcool.cli.build_improved_schedule", stop)
+    with pytest.raises(Built):    # past the cap check, at the first build
+        main(["schedule", "--m", str(IMPROVED_MAX_M), "--tournament", str(TOURNAMENT_MAX_N),
+              "--out", str(tmp_path / "o")])
 
 
 @pytest.mark.parametrize("command", ["schedule", "coeffs"])

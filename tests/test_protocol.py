@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from swapcool.protocol import (
     expand_short_time,
     protocol_oracle,
     protocol_output_to_json,
+    protocol_unitary,
     transfer_first_order,
 )
 from swapcool.quantum import PureState, basis_state, energy_moments, survival, uniform_state
@@ -84,6 +87,51 @@ def test_oracle_rejects_large_dim():
     spec = build_model("a", 128, 1.0)
     with pytest.raises(ValueError):
         protocol_oracle(uniform_state(128), spec, 0.1)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+def test_protocol_unitary_is_the_swap_rotation_times_the_phases(dim):
+    rng = np.random.default_rng(dim)
+    spec = Spectrum(np.sort(rng.uniform(-2, 2, size=dim)))
+    dt = 0.7
+    f = np.exp(-0.5j * spec.eigenvalues * dt)
+    swap = np.zeros((dim * dim, dim * dim))
+    for j in range(dim):
+        for k in range(dim):
+            swap[k * dim + j, j * dim + k] = 1.0
+    expected = (np.eye(dim * dim) + 1j * swap) / np.sqrt(2.0) @ np.diag(np.kron(f, f.conj()))
+    u = protocol_unitary(spec, dt)
+    np.testing.assert_allclose(u, expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(u @ u.conj().T, np.eye(dim * dim), rtol=0, atol=1e-14)
+
+
+def test_oracle_reduced_states_are_the_partial_traces_of_the_joint_state():
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        spec, phi = random_case(rng)
+        dt = float(rng.uniform(-1, 1))
+        d = spec.dim
+        joint = protocol_unitary(spec, dt) @ np.kron(phi.amplitudes, phi.amplitudes)
+        rho = np.outer(joint, joint.conj()).reshape(d, d, d, d)
+        out = protocol_oracle(phi, spec, dt)
+        np.testing.assert_allclose(out.rho_a.matrix, np.einsum("ijkj->ik", rho),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(out.rho_b.matrix, np.einsum("jijk->ik", rho),
+                                   rtol=0, atol=1e-15)
+
+
+def test_oracle_holds_one_joint_operator():
+    # the unitary is 16.8 MB at dim 32; a joint density matrix or a swap
+    # matrix beside it would take the peak past 20 MB
+    spec = build_model("c", 32, 1.0)
+    phi = uniform_state(32)
+    tracemalloc.start()
+    try:
+        protocol_oracle(phi, spec, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, peak
 
 
 def test_negative_dt_swaps_roles():

@@ -10,7 +10,6 @@ from swapcool.quantum import (
     eigendecompose,
     energy_moments,
     evolve_phase,
-    partial_trace,
     state_to_json,
     survival,
     uniform_state,
@@ -127,42 +126,6 @@ def test_survival_derivative_matches_finite_difference():
         num = (survival(phi, spec, t + h)[0] - survival(phi, spec, t - h)[0]) / (2 * h)
         errs.append(abs(num - dp0))
     assert 3.0 < errs[0] / errs[1] < 5.0    # central difference is O(h^2)
-
-
-def test_partial_trace_product_state():
-    rng = np.random.default_rng(5)
-    a = random_state(rng, 3)
-    b = random_state(rng, 3)
-    joint = DensityOperator(np.outer(np.kron(a.amplitudes, b.amplitudes),
-                                     np.kron(a.amplitudes, b.amplitudes).conj()))
-    np.testing.assert_allclose(partial_trace(joint, "a").matrix, a.projector(), atol=1e-14)
-    np.testing.assert_allclose(partial_trace(joint, "b").matrix, b.projector(), atol=1e-14)
-
-
-def test_partial_trace_maximally_entangled():
-    bell = np.zeros(4, dtype=complex)
-    bell[0] = bell[3] = 1 / np.sqrt(2)
-    joint = DensityOperator(np.outer(bell, bell.conj()))
-    np.testing.assert_allclose(partial_trace(joint, "a").matrix, np.eye(2) / 2, atol=1e-14)
-
-
-def test_partial_trace_preserves_trace_and_positivity():
-    rng = np.random.default_rng(6)
-    for _ in range(5):
-        v = rng.normal(size=9) + 1j * rng.normal(size=9)
-        v /= np.linalg.norm(v)
-        joint = DensityOperator(np.outer(v, v.conj()))
-        for side in ("a", "b"):
-            red = partial_trace(joint, side)
-            assert np.trace(red.matrix).real == pytest.approx(1.0)
-            assert red.min_eigenvalue() > -1e-12
-
-
-def test_partial_trace_rejects_nonsquare_dim():
-    v = np.zeros(6, dtype=complex)
-    v[0] = 1.0
-    with pytest.raises(ValueError):
-        partial_trace(DensityOperator(np.outer(v, v.conj())), "a")
 
 
 def test_eigendecompose_diagonal():

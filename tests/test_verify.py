@@ -1,6 +1,8 @@
 """Verification-suite wiring: verdicts must be stable across seeds and the
 report JSON must carry the measured details."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,26 @@ def test_conservation_verdict_stable_across_seeds(seed):
     drift = res.details["network_max_pair_drift"]
     assert 0.0 <= drift <= verify.CONSERVATION_TOL
     assert res.details["network_drift_margin"] == verify.CONSERVATION_TOL - drift
+
+
+@pytest.mark.parametrize("check, key", [(verify.check_protocol_vs_oracle, "max_deviation"),
+                                        (verify.check_energy_conservation, "max_violation")])
+def test_oracle_checks_name_their_worst_trial(monkeypatch, check, key):
+    clean = check(seed=0, trials=40)
+    assert clean.passed
+    assert clean.details["worst_case"] is None or "/dim=" in clean.details["worst_case"]
+    oracle = verify.protocol_oracle
+
+    def shifted(phi, spec, dt):
+        out = oracle(phi, spec, dt)
+        return dataclasses.replace(out, e_a=out.e_a + 1e-9) if spec.dim == 5 else out
+
+    monkeypatch.setattr(verify, "protocol_oracle", shifted)
+    res = check(seed=0, trials=40)
+    assert not res.passed
+    assert res.details[key] == pytest.approx(1e-9, rel=1e-3)
+    assert res.details["worst_case"].startswith("trial=")
+    assert "/dim=5/" in res.details["worst_case"]
 
 
 def test_report_shape():

@@ -26,11 +26,11 @@ from .kernels import improved_pair_count
 from .network import (
     IMPROVED_MAX_M,
     SCHEDULE_MAX_PAIRS,
-    build_improved_schedule,
     build_tournament_schedule,
     check_tournament_n,
     coefficients_from_json,
     coefficients_to_json,
+    improved_run,
     schedule_to_json,
 )
 from .protocol import apply_protocol, protocol_output_to_json
@@ -191,22 +191,23 @@ def cmd_protocol(cfg: argparse.Namespace, manifest: RunManifest) -> int:
 
 
 def cmd_schedule(cfg: argparse.Namespace, manifest: RunManifest) -> int:
-    builds = {f"schedule_m{m}.json": partial(build_improved_schedule, m) for m in cfg.m_list}
+    runs = {f"schedule_m{m}.json": partial(improved_run, m) for m in cfg.m_list}
     pairs = sum(improved_pair_count(m) for m in cfg.m_list)
     if cfg.tournament is not None:
-        builds[f"schedule_tournament_n{cfg.tournament}.json"] = partial(
-            build_tournament_schedule, cfg.tournament)
+        runs[f"schedule_tournament_n{cfg.tournament}.json"] = (
+            lambda: build_tournament_schedule(cfg.tournament).checked())
         pairs += 2 ** cfg.tournament - 1
     if pairs > SCHEDULE_MAX_PAIRS:
         raise ValueError(f"the schedules hold {pairs} pair events in all, over the cap of "
                          f"{SCHEDULE_MAX_PAIRS} per run")
-    for name, build in builds.items():
-        sched = build()
-        sched.validate()
+    for name, make in runs.items():
+        # an improved run is checked step by step as it is written and never
+        # stored; only a tournament (at most 2^20 - 1 pairs) is built whole
+        run = make()
         with atomic_output(os.path.join(cfg.out, name), manifest) as write:
-            schedule_to_json(sched, write)
+            n_pairs = schedule_to_json(run, write)
             write(b"\n")
-        del sched       # held one at a time: --m 256 is 5.6 M pairs
+        manifest.counts[name] = {"pair_events": n_pairs, "step_star": run.step_star}
     return EXIT_OK
 
 

@@ -187,9 +187,14 @@ class RunManifest:
     stages: list = field(default_factory=list)
     files: list = field(default_factory=list)
     earlier: list = field(default_factory=list)
+    counts: dict = field(default_factory=dict)    # file name -> counts, for the next stage
 
     def add_stage(self, name: str, seconds: float) -> None:
-        self.stages.append({"name": name, "seconds": seconds, "peak_rss_mb": peak_rss_mb()})
+        """Record a stage with its peak RSS and the counts noted since the last one."""
+        stage = {"name": name, "seconds": seconds, "peak_rss_mb": peak_rss_mb()}
+        if self.counts:
+            stage["counts"], self.counts = self.counts, {}
+        self.stages.append(stage)
 
     def add_file(self, path: str, sha256: str, size: int) -> None:
         self.files.append({"path": path, "sha256": sha256, "bytes": size})

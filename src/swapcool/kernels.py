@@ -169,25 +169,31 @@ def accumulate_rows(n_systems, m, blocks):
     in step order, as a ``network.Schedule`` or an ``ImprovedSteps`` does.
     Each pair resets both rows when flagged fresh, then sets both to the row
     mean plus a unit at the column of the pair's common tau.
-    The pairs of one step must be disjoint (``Schedule.validate`` checks it);
+    The pairs of one step must be disjoint (``network.CheckedRun`` checks it);
     then the whole step is one gather, mean and scatter, with the same
-    floating-point operations as a loop over its pairs in any order.
+    floating-point operations as a loop over its pairs in any order.  A
+    column no pair has fired at yet is zero in every row, so each step moves
+    only the columns from the lowest to the highest tau fired so far.
     """
     ncols = 2 * m + 1
     K = np.zeros((n_systems, ncols))
     slot = np.arange(n_systems)
+    first, end = ncols, 0      # the fired columns so far lie in [first, end)
     for a, b, tau, f in blocks:
         col = tau + m
-        if col.min() < 0 or col.max() >= ncols:
+        low, high = int(col.min()), int(col.max())
+        if low < 0 or high >= ncols:
             raise AssertionError("coefficient column out of range")
-        row = K[a]
-        row += K[b]
+        first, end = min(first, low), max(end, high + 1)
+        fired = slice(first, end)
+        row = K[a, fired]
+        row += K[b, fired]
         row *= 0.5
         if f.any():
             row[f.astype(bool)] = 0.0
-        row[slot[:a.size], col] += 1.0
-        K[a] = row
-        K[b] = row
+        row[slot[:a.size], col - first] += 1.0
+        K[a, fired] = row
+        K[b, fired] = row
     return K
 
 

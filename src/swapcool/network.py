@@ -22,6 +22,12 @@ Schedule, or the kernels.ImprovedSteps stream that the chip-firing loop of
 propagate_coefficients accumulates either and simulate_network_exact
 propagates either; build_improved_schedule stores the stream as event
 arrays; improved_schedule_stats keeps step* and the terminal profile only.
+
+A CheckedRun replays a run under the pairing rules as it is iterated.
+Schedule.validate passes its events through one, and improved_run wraps the
+stream in one, its header taken from improved_schedule_stats, so that
+schedule_to_json writes an improved schedule of any size while holding one
+step and one text block of it.
 """
 
 from __future__ import annotations
@@ -42,9 +48,11 @@ EXACT_ORACLE_JOINT_CAP = 1024
 EXACT_ORACLE_ENERGY_TOL = 1e-10
 TOURNAMENT_MAX_N = 20   # 2^20 systems, about a million pair events (as at m=128)
 IMPROVED_MAX_M = 256    # the largest m whose schedule criterion 08 verifies; 5.6 M pair events
-# one `swapcool schedule` run's pair events: the largest improved and tournament schedules
+# one `swapcool schedule` run's pair events, the largest improved and tournament schedules:
+# a bound on what one run writes (about 62 B of JSON a pair, 0.41 GB at the cap), not on
+# its memory: an improved schedule is streamed, never held
 SCHEDULE_MAX_PAIRS = kernels.improved_pair_count(IMPROVED_MAX_M) + 2 ** TOURNAMENT_MAX_N - 1
-JSON_BLOCK_PAIRS = 1 << 15   # pair events encoded per block of the schedule JSON
+JSON_BLOCK_PAIRS = 1 << 12   # pair events encoded per block of the schedule JSON
 XI_MAX_M_ALPHA = 1 << 20     # steps of one xi point, ~65 B each; the pinned sweep's largest is 463
 
 
@@ -79,20 +87,21 @@ class Schedule:
         for s0, s1 in zip([0] + bounds, bounds + [self.step.size]):
             yield self.lo[s0:s1], self.hi[s0:s1], self.tau_common[s0:s1], self.fresh[s0:s1]
 
+    def checked(self) -> CheckedRun:
+        """This schedule's header and step blocks as a CheckedRun."""
+        return CheckedRun(self.kind, self.m, self.n_systems, self.step_star,
+                          self.terminal_tau, self)
+
     def validate(self) -> None:
-        """Replay the events one step at a time and check the pairing rules;
-        raises AssertionError on the first violation.
+        """Check the stored shape and the kind, and replay the events through
+        CheckedRun; raises AssertionError on the first violation.
 
         The kind is "improved" over 2m >= 2 systems or "tournament" with
         1 <= m <= TOURNAMENT_MAX_N.  A stored run has one shape: five event
-        columns of one length, every pair 0 <= lo < hi < n_systems, and step
-        blocks that are exactly 0, 1, ..., step_star - 1 in order.  The replay
-        keeps one tau per system: the pairs of a step must share no member and
-        each must share its recorded tau_common, after which the lower member
-        moves to tau-1 and the higher to tau+1.  The final taus must equal
-        terminal_tau, and the run its kind's closed form: an improved run's
-        pair count and terminal profile, a tournament
-        build_tournament_schedule(m) column for column.
+        columns of one length, and step blocks that are exactly 0, 1, ...,
+        step_star - 1 in order.  The replay checks every step's pairs, the
+        final taus and an improved run's closed form; a tournament must also
+        be build_tournament_schedule(m) column for column.
         """
         n, steps, star = self.n_pairs, self.step, self.step_star
         if self.kind not in ("improved", "tournament"):
@@ -104,41 +113,79 @@ class Schedule:
         lengths = {f: getattr(self, f).size for f in ("step", "lo", "hi", "tau_common", "fresh")}
         if len(set(lengths.values())) > 1:
             raise AssertionError(f"event columns differ in length: {lengths}")
-        if n and (self.lo.min() < 0 or self.hi.max() >= self.n_systems
-                  or np.any(self.lo >= self.hi)):
-            raise AssertionError(f"pairs are not 0 <= lo < hi < {self.n_systems}")
         # in step order from 0, the steps run 0, 1, 2, ... iff each change is the next value
         gapless = not n or (steps[0] == 0 and not np.any(steps[1:] < steps[:-1])
                             and np.count_nonzero(steps[1:] != steps[:-1]) == steps[-1])
         if not gapless or (int(steps[-1]) + 1 if n else 0) != star:
             raise AssertionError(f"steps are not 0 to step_star - 1 = {star - 1} in order")
-        tau = np.zeros(self.n_systems, dtype=np.int64)
-        last = np.full(self.n_systems, -1)     # the last step each system paired in
-        for step, (lo, hi, common, _) in enumerate(self):
-            last[lo] = step
-            last[hi] = step
-            if np.count_nonzero(last == step) != 2 * lo.size:
-                raise AssertionError(f"pairs within step {step} are not disjoint")
-            if (tau[lo] != common).any() or (tau[hi] != common).any():
-                raise AssertionError(f"paired systems disagree on tau at step {step}")
-            tau[lo] = common - 1
-            tau[hi] = common + 1
-        if self.kind == "improved" and n != kernels.improved_pair_count(self.m):
-            raise AssertionError(f"pair count {n}, not the improved network's "
-                                 f"{kernels.improved_pair_count(self.m)}")
-        if not np.array_equal(tau, self.terminal_tau):
-            raise AssertionError("terminal tau profile mismatch")
-        expect_fresh = (self.tau_common == 0) & (self.step != 0)
-        if np.any(expect_fresh != self.fresh.astype(bool)):
-            raise AssertionError("fresh flags wrong")
-        if self.kind == "improved" and np.any(
-                self.terminal_tau != improved_terminal_profile(self.m)):
-            raise AssertionError("improved terminal profile mismatch")
+        for _ in self.checked():
+            pass
         if self.kind == "tournament":
             closed = build_tournament_schedule(self.m)
             if not all(np.array_equal(getattr(self, f), getattr(closed, f)) for f in
                        ("n_systems", "step", "lo", "hi", "tau_common", "fresh", "terminal_tau")):
                 raise AssertionError(not_kind)
+
+
+@dataclass(frozen=True)
+class CheckedRun:
+    """A network run's header and its step blocks, replayed under the
+    pairing rules while they are iterated: the one check that both a stored
+    Schedule and a kernels.ImprovedSteps stream pass before they are written.
+
+    Iterating yields each step's (lo, hi, tau, fresh) block with its pairs in
+    lo order.  Before a block is yielded its pairs must satisfy 0 <= lo < hi
+    < n_systems, share no member, both hold the block's tau, and be flagged
+    fresh exactly when they meet at tau = 0 after step 0; then the lower
+    member moves to tau-1 and the higher to tau+1.  After the last block the
+    steps must number step_star, the replayed taus equal terminal_tau, and
+    an improved run have its closed-form pair count and terminal profile.
+    AssertionError on the first violation.
+    """
+
+    kind: str
+    m: int
+    n_systems: int
+    step_star: int
+    terminal_tau: np.ndarray
+    blocks: object          # iterable of (lo, hi, tau, fresh) step blocks
+
+    def __iter__(self):
+        n, star = self.n_systems, self.step_star
+        tau = np.zeros(n, dtype=np.int64)
+        last = np.full(n, -1)     # the last step each system paired in
+        step = pairs = 0
+        for lo, hi, common, fresh in self.blocks:
+            if step == star:
+                raise AssertionError(f"the run has more steps than step_star = {star}")
+            order = lo.argsort()
+            lo, hi, common, fresh = lo[order], hi[order], common[order], fresh[order]
+            # count_nonzero: a step is ~70 pairs, where .any() costs several times more
+            if lo.size and (lo[0] < 0 or hi.max() >= n or np.count_nonzero(lo >= hi)):
+                raise AssertionError(f"pairs are not 0 <= lo < hi < {n}")
+            last[lo] = step
+            last[hi] = step
+            if np.count_nonzero(last == step) != 2 * lo.size:
+                raise AssertionError(f"pairs within step {step} are not disjoint")
+            if np.count_nonzero(tau[lo] != common) or np.count_nonzero(tau[hi] != common):
+                raise AssertionError(f"paired systems disagree on tau at step {step}")
+            if np.count_nonzero(fresh.astype(bool) != ((common == 0) & (step > 0))):
+                raise AssertionError(f"fresh flags wrong at step {step}")
+            tau[lo] = common - 1
+            tau[hi] = common + 1
+            yield lo, hi, common, fresh
+            step += 1
+            pairs += lo.size
+        if step != star:
+            raise AssertionError(f"the run has {step} steps, not step_star = {star}")
+        if self.kind == "improved" and pairs != kernels.improved_pair_count(self.m):
+            raise AssertionError(f"pair count {pairs}, not the improved network's "
+                                 f"{kernels.improved_pair_count(self.m)}")
+        if not np.array_equal(tau, self.terminal_tau):
+            raise AssertionError("terminal tau profile mismatch")
+        if self.kind == "improved" and np.any(
+                self.terminal_tau != improved_terminal_profile(self.m)):
+            raise AssertionError("improved terminal profile mismatch")
 
 
 def build_improved_schedule(m: int) -> Schedule:
@@ -164,6 +211,15 @@ def build_improved_schedule(m: int) -> Schedule:
 def improved_schedule_stats(m: int) -> tuple[int, np.ndarray]:
     """(step_star, terminal_tau) without materialising the event stream."""
     return kernels.improved_schedule_stats_many([m])[0]
+
+
+def improved_run(m: int) -> CheckedRun:
+    """The improved network of m as a CheckedRun that holds no event column:
+    the header from the counts-only improved_schedule_stats, the pairs
+    streamed from kernels.ImprovedSteps as they fire."""
+    step_star, terminal_tau = improved_schedule_stats(m)
+    return CheckedRun("improved", int(m), 2 * int(m), step_star, terminal_tau,
+                      kernels.ImprovedSteps(m))
 
 
 def check_tournament_n(n: int) -> None:
@@ -455,27 +511,43 @@ def simulate_network_exact(run, spec: Spectrum, phi0: PureState,
 
 # --- serialization -----------------------------------------------------------
 
-def schedule_to_json(sched: Schedule, write) -> None:
-    """Pass write the pair events, step* and the terminal profile as UTF-8
-    JSON, encoded from the event columns with json.dumps's default
-    separators.  The pairs go JSON_BLOCK_PAIRS at a time, so only one block
-    of the text is ever in memory.  The tau of every system at every step
-    follows from replaying the pairs in order (lower member -1, higher +1),
-    as Schedule.validate does."""
-    head = json.dumps({"kind": sched.kind, "m": sched.m, "n_systems": sched.n_systems,
-                       "step_star": sched.step_star})
+def schedule_to_json(run, write) -> int:
+    """Pass write a run's pair events, step* and terminal profile as UTF-8
+    JSON with json.dumps's default separators, and return the pair count.
+
+    The run is a stored Schedule or a CheckedRun; each block it yields is
+    one step, numbered by its ordinal.  Steps are gathered, and a longer
+    step cut, into blocks of about JSON_BLOCK_PAIRS pairs, each encoded and
+    written before the next, so only one such block of the text is ever in
+    memory.  The tau of every system at every step follows from replaying
+    the pairs in order (lower member -1, higher +1), as CheckedRun does.
+    """
+    head = json.dumps({"kind": run.kind, "m": run.m, "n_systems": run.n_systems,
+                       "step_star": run.step_star})
     write(f'{head[:-1]}, "pairs": ['.encode())
-    for start in range(0, sched.n_pairs, JSON_BLOCK_PAIRS):
-        block = slice(start, start + JSON_BLOCK_PAIRS)
-        if start:
-            write(b", ")
-        write(", ".join([
-            f'{{"step": {s}, "pair": [{a}, {b}], "tau": {t}, "fresh": {"true" if f else "false"}}}'
-            for s, a, b, t, f in zip(sched.step[block].tolist(), sched.lo[block].tolist(),
-                                     sched.hi[block].tolist(),
-                                     sched.tau_common[block].tolist(),
-                                     sched.fresh[block].tolist())]).encode())
-    write(f'], "terminal_tau": {json.dumps(sched.terminal_tau.tolist())}}}'.encode())
+    texts, pairs = [], 0
+
+    def flush():
+        nonlocal texts, pairs
+        if texts:
+            if pairs:
+                write(b", ")
+            write(", ".join(texts).encode())
+            pairs += len(texts)
+            texts = []
+
+    for step, block in enumerate(run):
+        # a tournament's first step alone is half its pairs
+        for start in range(0, block[0].size, JSON_BLOCK_PAIRS):
+            lo, hi, tau, fresh = (col[start:start + JSON_BLOCK_PAIRS].tolist() for col in block)
+            texts += [f'{{"step": {step}, "pair": [{a}, {b}], "tau": {t}, '
+                      f'"fresh": {"true" if f else "false"}}}'
+                      for a, b, t, f in zip(lo, hi, tau, fresh)]
+            if len(texts) >= JSON_BLOCK_PAIRS:
+                flush()
+    flush()
+    write(f'], "terminal_tau": {json.dumps(run.terminal_tau.tolist())}}}'.encode())
+    return pairs
 
 
 def schedule_from_json(obj: dict) -> Schedule:

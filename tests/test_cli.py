@@ -26,9 +26,10 @@ from swapcool.network import (
     SCHEDULE_MAX_PAIRS,
     TOURNAMENT_MAX_N,
     XI_MAX_M_ALPHA,
-    Schedule,
+    CheckedRun,
     build_improved_schedule,
     coefficients_to_json,
+    improved_schedule_stats,
     propagate_coefficients,
     schedule_to_json,
 )
@@ -160,21 +161,90 @@ def test_schedule_command(tmp_path):
     assert tourn["n_systems"] == 8
 
 
-def test_schedule_validates_every_file_it_writes(tmp_path, monkeypatch):
-    # the tournament goes through the same build, validate, write loop as the improved
-    validated = []
-    validate = Schedule.validate
+def test_schedule_checks_every_file_it_writes(tmp_path, monkeypatch):
+    # the tournament goes through the same checked walk and encoder as the improved
+    walked = []
+    walk = CheckedRun.__iter__
 
-    def counting(sched):
-        validated.append((sched.kind, sched.n_systems))
-        validate(sched)
+    def counting(run):
+        walked.append((run.kind, run.n_systems))
+        return walk(run)
 
-    monkeypatch.setattr(Schedule, "validate", counting)
+    monkeypatch.setattr(CheckedRun, "__iter__", counting)
     out = str(tmp_path / "o")
     assert main(["schedule", "--m", "1,2", "--tournament", "3", "--out", out]) == 0
-    assert validated == [("improved", 2), ("improved", 4), ("tournament", 8)]
+    assert walked == [("improved", 2), ("improved", 4), ("tournament", 8)]
     assert [f["path"] for f in manifest_of(out)["files"]] == [
         "schedule_m1.json", "schedule_m2.json", "schedule_tournament_n3.json"]
+
+
+def test_schedule_stage_counts_the_pairs_and_steps_of_each_file(tmp_path):
+    out = str(tmp_path / "o")
+    assert main(["schedule", "--m", "3,16", "--tournament", "5", "--out", out]) == 0
+    (stage,) = manifest_of(out)["stages"]
+    assert stage["counts"] == {
+        "schedule_m3.json": {"pair_events": improved_pair_count(3),
+                             "step_star": improved_schedule_stats(3)[0]},
+        "schedule_m16.json": {"pair_events": improved_pair_count(16),
+                              "step_star": improved_schedule_stats(16)[0]},
+        "schedule_tournament_n5.json": {"pair_events": 31, "step_star": 5}}
+
+
+def first_pair_fired_twice(blocks):
+    lo, hi, tau, fresh = blocks[1]
+    blocks[1] = tuple(np.append(col, col[0]) for col in (lo, hi, tau, fresh))
+
+
+def first_tau_bumped(blocks):
+    blocks[2][2][0] += 1
+
+
+def last_step_repeated(blocks):
+    blocks.append(blocks[-1])
+
+
+@pytest.mark.parametrize("fault, message", [
+    (first_pair_fired_twice, "pairs within step 1 are not disjoint"),
+    (first_tau_bumped, "disagree on tau at step 2"),
+    (last_step_repeated, "more steps than step_star"),
+], ids=["overlapping_pair", "wrong_tau", "extra_step"])
+def test_schedule_stream_fault_leaves_no_file(tmp_path, monkeypatch, fault, message):
+    from swapcool import kernels
+
+    out = str(tmp_path / "o")
+    assert main(["schedule", "--m", "2", "--out", out]) == 0
+    before = read(os.path.join(out, "manifest.json"))
+    stream = kernels.ImprovedSteps
+
+    def faulty(m):
+        blocks = list(stream(m))
+        fault(blocks)
+        return blocks
+
+    monkeypatch.setattr(kernels, "ImprovedSteps", faulty)
+    with pytest.raises(AssertionError, match=message):
+        main(["schedule", "--m", "5", "--out", out])
+    assert sorted(os.listdir(out)) == ["manifest.json", "schedule_m2.json"]
+    assert read(os.path.join(out, "manifest.json")) == before
+
+
+def test_schedule_holds_no_event_column(tmp_path):
+    # the walk and the encoder hold one step and one text block of
+    # JSON_BLOCK_PAIRS pairs (~1 MB), whatever the file's size; storing the
+    # columns and encoding them 2^15 pairs at a time peaked at 8.2 MB here
+    import tracemalloc
+
+    out = str(tmp_path / "o")
+    assert main(["schedule", "--m", "1", "--out", out]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["schedule", "--m", "64", "--out", out]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = os.path.getsize(os.path.join(out, "schedule_m64.json"))
+    assert size > 5_000_000
+    assert peak < 2_000_000, (peak, size)
 
 
 @pytest.mark.parametrize("n", ["0", "21"])
@@ -191,9 +261,9 @@ def test_schedule_tournament_out_of_range_exit_2_no_files(tmp_path, monkeypatch,
 def test_schedule_pairs_over_the_run_cap_exit_2_no_files(tmp_path, monkeypatch):
     # each m is in range, but m = 255 and 256 together hold 11.2 M pair events
     def refuse(*args):
-        raise AssertionError("the run's pair total is checked before any build")
+        raise AssertionError("the run's pair total is checked before any run")
 
-    monkeypatch.setattr("swapcool.cli.build_improved_schedule", refuse)
+    monkeypatch.setattr("swapcool.cli.improved_run", refuse)
     out = tmp_path / "o"
     out.mkdir()
     assert main(["schedule", "--m", "255,256", "--out", str(out)]) == 2
@@ -209,8 +279,8 @@ def test_schedule_run_cap_admits_the_largest_of_each_kind(tmp_path, monkeypatch)
 
     assert SCHEDULE_MAX_PAIRS == improved_pair_count(IMPROVED_MAX_M) + 2 ** TOURNAMENT_MAX_N - 1
     assert SCHEDULE_MAX_PAIRS == 6_673_791
-    monkeypatch.setattr("swapcool.cli.build_improved_schedule", stop)
-    with pytest.raises(Built):    # past the cap check, at the first build
+    monkeypatch.setattr("swapcool.cli.improved_run", stop)
+    with pytest.raises(Built):    # past the cap check, at the first run
         main(["schedule", "--m", str(IMPROVED_MAX_M), "--tournament", str(TOURNAMENT_MAX_N),
               "--out", str(tmp_path / "o")])
 

@@ -794,6 +794,47 @@ def test_schedule_cli_files_match_dict_dump(tmp_path):
             assert fh.read() == (json.dumps(_dict_per_pair_reference(sched)) + "\n").encode()
 
 
+def test_streamed_cli_files_match_the_stored_encoding(tmp_path):
+    # the CLI never stores an improved schedule; its files must still be the
+    # bytes of the stored schedule's encoding
+    ms = [*range(1, 13), 64]
+    out = str(tmp_path / "o")
+    assert cli_main(["schedule", "--m", ",".join(map(str, ms)), "--out", out]) == 0
+    for m in ms:
+        with open(os.path.join(out, f"schedule_m{m}.json"), "rb") as fh:
+            assert_same_bytes(fh.read(), encoded(schedule_to_json, build_improved_schedule(m))
+                              + b"\n")
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cli_tournament_file_matches_the_stored_encoding(tmp_path, n):
+    out = str(tmp_path / "o")
+    assert cli_main(["schedule", "--m", "1", "--tournament", str(n), "--out", out]) == 0
+    with open(os.path.join(out, f"schedule_tournament_n{n}.json"), "rb") as fh:
+        assert fh.read() == encoded(schedule_to_json, build_tournament_schedule(n)) + b"\n"
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 16])
+def test_improved_run_yields_the_stored_schedule(m):
+    # the walk puts the stream's pairs (fired by tau, then index) in lo order
+    sched = build_improved_schedule(m)
+    run = network_mod.improved_run(m)
+    assert (run.step_star, run.n_systems) == (sched.step_star, sched.n_systems)
+    walked = [tuple(col.tolist() for col in block) for block in run]
+    stored = [tuple(col.tolist() for col in block) for block in sched]
+    assert [b[:3] for b in walked] == [b[:3] for b in stored]
+    assert [[bool(f) for f in b[3]] for b in walked] == [[bool(f) for f in b[3]] for b in stored]
+
+
+def test_checked_run_rejects_a_stream_that_stops_short():
+    sched = build_improved_schedule(4)
+    blocks = list(sched)
+    short = network_mod.CheckedRun("improved", 4, 8, sched.step_star, sched.terminal_tau,
+                                   blocks[:-1])
+    with pytest.raises(AssertionError, match=f"has {sched.step_star - 1} steps, not step_star"):
+        list(short)
+
+
 def test_schedule_json_peak_stays_below_a_tenth_of_the_file(monkeypatch, tmp_path):
     # streamed a block at a time into the hashing file writer, the peak is one
     # block; the bytearray writer held the whole file (1.0x), the str writer 3.2x

@@ -26,12 +26,12 @@ from .kernels import improved_pair_count
 from .network import (
     IMPROVED_MAX_M,
     SCHEDULE_MAX_PAIRS,
-    build_tournament_schedule,
     check_tournament_n,
     coefficients_from_json,
     coefficients_to_json,
     improved_run,
     schedule_to_json,
+    tournament_run,
 )
 from .protocol import apply_protocol, protocol_output_to_json
 from .quantum import uniform_state
@@ -194,15 +194,14 @@ def cmd_schedule(cfg: argparse.Namespace, manifest: RunManifest) -> int:
     runs = {f"schedule_m{m}.json": partial(improved_run, m) for m in cfg.m_list}
     pairs = sum(improved_pair_count(m) for m in cfg.m_list)
     if cfg.tournament is not None:
-        runs[f"schedule_tournament_n{cfg.tournament}.json"] = (
-            lambda: build_tournament_schedule(cfg.tournament).checked())
+        runs[f"schedule_tournament_n{cfg.tournament}.json"] = partial(tournament_run,
+                                                                       cfg.tournament)
         pairs += 2 ** cfg.tournament - 1
     if pairs > SCHEDULE_MAX_PAIRS:
         raise ValueError(f"the schedules hold {pairs} pair events in all, over the cap of "
                          f"{SCHEDULE_MAX_PAIRS} per run")
     for name, make in runs.items():
-        # an improved run is checked step by step as it is written and never
-        # stored; only a tournament (at most 2^20 - 1 pairs) is built whole
+        # each run is checked step by step as it is written and never stored
         run = make()
         with atomic_output(os.path.join(cfg.out, name), manifest) as write:
             n_pairs = schedule_to_json(run, write)

@@ -24,10 +24,11 @@ propagates either; build_improved_schedule stores the stream as event
 arrays; improved_schedule_stats keeps step* and the terminal profile only.
 
 A CheckedRun replays a run under the pairing rules as it is iterated.
-Schedule.validate passes its events through one, and improved_run wraps the
-stream in one, its header taken from improved_schedule_stats, so that
-schedule_to_json writes an improved schedule of any size while holding one
-step and one text block of it.
+Schedule.validate passes its events through one.  improved_run wraps the
+stream in one, its header taken from improved_schedule_stats, and
+tournament_run wraps the TournamentStages made stage by stage, its header
+the closed form; so schedule_to_json writes either network while holding
+the per-system taus, one step and one text block of it.
 """
 
 from __future__ import annotations
@@ -153,26 +154,33 @@ class CheckedRun:
     def __iter__(self):
         n, star = self.n_systems, self.step_star
         tau = np.zeros(n, dtype=np.int64)
-        last = np.full(n, -1)     # the last step each system paired in
+        last = np.full(n, -1, dtype=np.int32)     # the last step each system paired in
+        # scratch and 0-d constants, so that no check converts a Python scalar
+        now = np.zeros((), dtype=last.dtype)
+        zero, one = np.zeros((), dtype=np.int64), np.ones((), dtype=np.int64)
+        paired_now = np.empty(n, dtype=bool)
         step = pairs = 0
         for lo, hi, common, fresh in self.blocks:
             if step == star:
                 raise AssertionError(f"the run has more steps than step_star = {star}")
-            order = lo.argsort()
-            lo, hi, common, fresh = lo[order], hi[order], common[order], fresh[order]
+            if np.count_nonzero(lo[1:] <= lo[:-1]):     # not yet in lo order
+                order = lo.argsort()
+                lo, hi, common, fresh = lo[order], hi[order], common[order], fresh[order]
             # count_nonzero: a step is ~70 pairs, where .any() costs several times more
             if lo.size and (lo[0] < 0 or hi.max() >= n or np.count_nonzero(lo >= hi)):
                 raise AssertionError(f"pairs are not 0 <= lo < hi < {n}")
-            last[lo] = step
-            last[hi] = step
-            if np.count_nonzero(last == step) != 2 * lo.size:
+            now.fill(step)
+            last[lo] = now
+            last[hi] = now
+            if np.count_nonzero(np.equal(last, now, out=paired_now)) != 2 * lo.size:
                 raise AssertionError(f"pairs within step {step} are not disjoint")
             if np.count_nonzero(tau[lo] != common) or np.count_nonzero(tau[hi] != common):
                 raise AssertionError(f"paired systems disagree on tau at step {step}")
-            if np.count_nonzero(fresh.astype(bool) != ((common == 0) & (step > 0))):
+            # fresh exactly where the pair meets at tau 0, and nowhere at step 0
+            if np.count_nonzero(np.logical_xor(fresh, np.equal(common, zero)) if step else fresh):
                 raise AssertionError(f"fresh flags wrong at step {step}")
-            tau[lo] = common - 1
-            tau[hi] = common + 1
+            tau[lo] = common - one
+            tau[hi] = common + one
             yield lo, hi, common, fresh
             step += 1
             pairs += lo.size
@@ -227,21 +235,50 @@ def check_tournament_n(n: int) -> None:
         raise ValueError(f"tournament n must lie in [1, {TOURNAMENT_MAX_N}], got {n}")
 
 
+class TournamentStages:
+    """The tournament network over 2^n systems, stage by stage: stage s pairs
+    the surviving forward branches at tau = s, the higher index of each pair
+    advancing.  The survivors of stage s are the indices 2^s - 1 mod 2^s, so
+    its pairs are hi = 2^(s+1) - 1 mod 2^(s+1) and lo = hi - 2^s, in lo
+    order.  No fresh replacements.  Iterating yields each stage's int32
+    (lo, hi, tau, fresh) block, made only when it is reached."""
+
+    def __init__(self, n: int):
+        check_tournament_n(n)
+        self.m = int(n)
+        self.n_systems = 2 ** self.m
+
+    def __iter__(self):
+        for s in range(self.m):
+            hi = np.arange(2 ** (s + 1) - 1, self.n_systems, 2 ** (s + 1), dtype=np.int32)
+            yield hi - (1 << s), hi, np.full(hi.size, s, dtype=np.int32), np.zeros(hi.size,
+                                                                                 dtype=np.uint8)
+
+    def terminal_tau(self) -> np.ndarray:
+        """Closed-form terminal tau: an index ending in t < n one bits advances
+        at stages 0..t-1 and falls back at stage t, so its tau is t - 1; the
+        last system advances at all n stages."""
+        tau = np.full(self.n_systems, -1, dtype=np.int64)
+        for t in range(1, self.m):
+            tau[2 ** t - 1::2 ** t] += 1     # the indices ending in at least t one bits
+        tau[-1] = self.m
+        return tau
+
+
+def tournament_run(n: int) -> CheckedRun:
+    """The tournament of n as a CheckedRun that holds one stage at a time: the
+    header from the closed form (step* = n), the stages made as they are walked."""
+    stages = TournamentStages(n)
+    return CheckedRun("tournament", stages.m, stages.n_systems, stages.m,
+                      stages.terminal_tau(), stages)
+
+
 def build_tournament_schedule(n: int) -> Schedule:
-    """2^n systems; stage s pairs the surviving forward branches at tau = s,
-    the higher index of each pair advancing.  The survivors of stage s are
-    the indices 2^s - 1 mod 2^s, so its pairs are hi = 2^(s+1) - 1 mod
-    2^(s+1) and lo = hi - 2^s.  No fresh replacements."""
-    check_tournament_n(n)
-    n_systems = 2 ** n
-    hi = np.concatenate([np.arange(2 ** (s + 1) - 1, n_systems, 2 ** (s + 1), dtype=np.int32)
-                         for s in range(n)])
-    step = np.repeat(np.arange(n, dtype=np.int32), [n_systems >> (s + 1) for s in range(n)])
-    lo = hi - (1 << step)
-    tau = np.bincount(hi, minlength=n_systems) - np.bincount(lo, minlength=n_systems)
-    fresh = np.zeros(hi.size, dtype=np.uint8)
-    return Schedule("tournament", int(n), n_systems, n, step, lo, hi, step.copy(), fresh,
-                    tau.astype(np.int64))
+    """The tournament's stages (see TournamentStages) stored as event arrays."""
+    stages = TournamentStages(n)
+    lo, hi, tau, fresh = (np.concatenate(col) for col in zip(*stages))
+    return Schedule("tournament", stages.m, stages.n_systems, stages.m, tau.copy(), lo, hi,
+                    tau, fresh, stages.terminal_tau())
 
 
 @dataclass(frozen=True)

@@ -315,6 +315,7 @@ def check_schedule_profiles(m_max: int = IMPROVED_MAX_M) -> CheckResult:
                 if np.any(terminal != improved_terminal_profile(m))]
     elapsed = time.perf_counter() - t0
     stars = [star for star, _ in stats]
+    row_steps = sum(stars)      # the steps each row took: the loop's work
     ratios = [star / m ** 2 for m, star in enumerate(stars[3:], start=4)]
     ok = (not mismatch and stars[:2] == [1, 3] and _within(ratios, STEP_STAR_RATIO_RANGE)
           and elapsed < SCHEDULE_SWEEP_SECONDS)
@@ -325,6 +326,7 @@ def check_schedule_profiles(m_max: int = IMPROVED_MAX_M) -> CheckResult:
                         "ratio_range": STEP_STAR_RATIO_RANGE, "seconds": elapsed,
                         "seconds_limit": SCHEDULE_SWEEP_SECONDS,
                         "seconds_margin": SCHEDULE_SWEEP_SECONDS - elapsed,
+                        "row_steps": row_steps, "seconds_per_row_step": elapsed / row_steps,
                         "backend": kernels.BACKEND})
 
 

@@ -84,7 +84,7 @@ def test_criterion_08_schedule_correctness():
     report(8, "terminal profiles and step* growth (m=1..256)", res.passed,
            f"step*(1)={res.details['step_star_1']}, step*(2)={res.details['step_star_2']}, "
            f"step*/m^2 in [{res.details['ratio_min']:.4f}, {res.details['ratio_max']:.4f}], "
-           f"{res.details['seconds']:.1f}s")
+           f"{res.details['seconds']:.1f}s for {res.details['row_steps']} row-steps")
 
 
 def test_criterion_09_coefficient_propagation():

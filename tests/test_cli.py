@@ -228,23 +228,39 @@ def test_schedule_stream_fault_leaves_no_file(tmp_path, monkeypatch, fault, mess
     assert read(os.path.join(out, "manifest.json")) == before
 
 
+def traced_peak(argv):
+    """Traced peak bytes of one successful CLI run."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_schedule_holds_no_event_column(tmp_path):
     # the walk and the encoder hold one step and one text block of
     # JSON_BLOCK_PAIRS pairs (~1 MB), whatever the file's size; storing the
     # columns and encoding them 2^15 pairs at a time peaked at 8.2 MB here
-    import tracemalloc
-
     out = str(tmp_path / "o")
     assert main(["schedule", "--m", "1", "--out", out]) == 0
-    tracemalloc.start()
-    try:
-        assert main(["schedule", "--m", "64", "--out", out]) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(["schedule", "--m", "64", "--out", out])
     size = os.path.getsize(os.path.join(out, "schedule_m64.json"))
     assert size > 5_000_000
     assert peak < 2_000_000, (peak, size)
+
+
+def test_schedule_streams_the_tournament_stage_by_stage(tmp_path):
+    # the walk holds the per-system taus and one stage (the first is half the
+    # pairs): 9.2 MB for this 17.7 MB file; the stored tournament peaked at 15.0 MB
+    out = str(tmp_path / "o")
+    assert main(["schedule", "--m", "1", "--out", out]) == 0
+    peak = traced_peak(["schedule", "--m", "1", "--tournament", "18", "--out", out])
+    size = os.path.getsize(os.path.join(out, "schedule_tournament_n18.json"))
+    assert size > 17_000_000
+    assert peak < 0.65 * size, (peak, size)
 
 
 @pytest.mark.parametrize("n", ["0", "21"])
@@ -252,7 +268,7 @@ def test_schedule_tournament_out_of_range_exit_2_no_files(tmp_path, monkeypatch,
     def refuse(n):
         raise AssertionError("the tournament size is checked before any build")
 
-    monkeypatch.setattr("swapcool.cli.build_tournament_schedule", refuse)
+    monkeypatch.setattr("swapcool.cli.tournament_run", refuse)
     out = str(tmp_path / "o")
     assert main(["schedule", "--m", "1", "--tournament", n, "--out", out]) == 2
     assert not os.path.exists(out)

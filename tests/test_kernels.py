@@ -115,7 +115,7 @@ def test_streamed_path_checks_terminal_profile(monkeypatch):
 
 def test_stepper_step_limit(monkeypatch):
     # pairs that never move their keys: the network would fire forever
-    monkeypatch.setattr(kernels, "_fire", lambda keys, cb, width, pos, new_run: pos & 1)
+    monkeypatch.setattr(kernels, "_fire", lambda keys, cb, width, pos, scratch: pos & 1)
     with pytest.raises(RuntimeError, match="failed to terminate"):
         network.propagate_coefficients(kernels.ImprovedSteps(2))
     with pytest.raises(RuntimeError, match="failed to terminate"):
@@ -144,6 +144,33 @@ def test_lockstep_stats_match_per_m_loop():
             np.testing.assert_array_equal(terminal, ref_terminal)
             assert terminal.dtype == np.int64
     assert kernels.improved_schedule_stats_many([]) == []
+
+
+@pytest.mark.parametrize("m", list(range(1, 41)) + [64])
+def test_one_row_stats_match_reference(m):
+    # one live row ends on the count of its higher members, not on the per-row test
+    step_star, terminal = network.improved_schedule_stats(m)
+    ref_star, ref_terminal, _ = reference_events(m)
+    assert step_star == ref_star
+    np.testing.assert_array_equal(terminal, ref_terminal)
+    assert terminal.dtype == np.int64
+
+
+def test_one_row_step_star_sums():
+    # the schedule workload's counts-only sweep and its m = 128 header
+    assert sum(network.improved_schedule_stats(m)[0] for m in range(1, 97)) == 181_556
+    assert network.improved_schedule_stats(128)[0] == 9857
+
+
+def test_stream_yields_fresh_intp_columns():
+    # each block is new arrays, so a block kept past the next step stays valid
+    blocks = list(kernels.ImprovedSteps(5))
+    sched = network.build_improved_schedule(5)
+    for streamed, stored in zip(blocks, sched, strict=True):
+        assert [col.dtype for col in streamed] == [np.intp, np.intp, np.intp, np.bool_]
+        order = streamed[0].argsort()
+        for a, b in zip(streamed, stored, strict=True):
+            np.testing.assert_array_equal(a[order], b)
 
 
 def test_lockstep_stats_rejects_bad_m():

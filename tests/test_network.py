@@ -806,7 +806,7 @@ def test_streamed_cli_files_match_the_stored_encoding(tmp_path):
                               + b"\n")
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_cli_tournament_file_matches_the_stored_encoding(tmp_path, n):
     out = str(tmp_path / "o")
     assert cli_main(["schedule", "--m", "1", "--tournament", str(n), "--out", out]) == 0
@@ -824,6 +824,21 @@ def test_improved_run_yields_the_stored_schedule(m):
     stored = [tuple(col.tolist() for col in block) for block in sched]
     assert [b[:3] for b in walked] == [b[:3] for b in stored]
     assert [[bool(f) for f in b[3]] for b in walked] == [[bool(f) for f in b[3]] for b in stored]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_tournament_run_yields_the_stored_schedule(n):
+    # the stages are made as they are walked; the header is the closed form
+    sched = build_tournament_schedule(n)
+    run = network_mod.tournament_run(n)
+    replayed = (np.bincount(sched.hi, minlength=sched.n_systems)
+                - np.bincount(sched.lo, minlength=sched.n_systems))
+    np.testing.assert_array_equal(run.terminal_tau, replayed)
+    assert (run.kind, run.m, run.n_systems, run.step_star) == (
+        "tournament", n, 2 ** n, sched.step_star)
+    for _ in range(2):     # the stages can be walked again
+        walked = [tuple(col.tolist() for col in block) for block in run]
+        assert walked == [tuple(col.tolist() for col in block) for block in sched]
 
 
 def test_checked_run_rejects_a_stream_that_stops_short():

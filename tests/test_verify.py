@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from swapcool import verify
+from swapcool import network, verify
 from swapcool.protocol import deviation_term
 from swapcool.quantum import DensityOperator
 
@@ -107,6 +107,13 @@ def test_schedule_profiles_name_the_mismatched_m(monkeypatch):
     res = verify.check_schedule_profiles(m_max=8)
     assert res.details["terminal_mismatch_m"] == [3]
     assert not res.passed
+
+
+def test_schedule_profiles_record_the_row_steps():
+    res = verify.check_schedule_profiles(m_max=8)
+    stars = [network.improved_schedule_stats(m)[0] for m in range(1, 9)]
+    assert res.details["row_steps"] == sum(stars)
+    assert res.details["seconds_per_row_step"] == res.details["seconds"] / sum(stars)
 
 
 def test_scaling_medians_keyed_by_smallest_m():

@@ -17,10 +17,11 @@ and keeps only each step* and terminal profile.
 A step of the loop is a sort, nine ufunc calls and a count, the ufuncs
 writing into arrays made once per set of live rows (``_scratch``), with
 constants held as 0-d arrays: a Python scalar operand adds about 0.4 us to
-a call, about what the call spends on a row of 256 keys.  With one live row the cost is call overhead, about
-6.5 us a step at m = 96 (10 us when every call allocated its result); with
-criterion 08's 256 rows the run-start scan dominates, about 3.1 us per
-row-step either way (2 vCPU Xeon, numpy 2.4.6).
+a call, about what the call spends on a row of 256 keys.  With one live
+row the cost is call overhead, about 6.5 us a step at m = 96 (10 us when
+every call allocated its result); with criterion 08's 256 rows the
+run-start scan dominates, about 3.1 us per row-step either way (2 vCPU
+Xeon, numpy 2.4.6).
 
 Each system is one packed key ``(tau + offset) << cb | index``.  Sorting the
 keys orders them by (tau, index); a pair moves its lower key down one tau and

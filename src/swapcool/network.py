@@ -251,8 +251,8 @@ class TournamentStages:
     def __iter__(self):
         for s in range(self.m):
             hi = np.arange(2 ** (s + 1) - 1, self.n_systems, 2 ** (s + 1), dtype=np.int32)
-            yield hi - (1 << s), hi, np.full(hi.size, s, dtype=np.int32), np.zeros(hi.size,
-                                                                                 dtype=np.uint8)
+            yield (hi - (1 << s), hi, np.full(hi.size, s, dtype=np.int32),
+                   np.zeros(hi.size, dtype=np.uint8))
 
     def terminal_tau(self) -> np.ndarray:
         """Closed-form terminal tau: an index ending in t < n one bits advances
